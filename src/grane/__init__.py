@@ -57,7 +57,6 @@ from .solvers import (
     acc_grane_run,
     acceleration_weights,
     centralized_gradient_play,
-    grane_player_step,
     grane_run,
     residual_metrics,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "consensual_part",
     "consensus_gap",
     "constants_report",
-    "grane_player_step",
     "grane_run",
     "lipschitz_constant",
     "make_augmented_config",

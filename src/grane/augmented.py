@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, box_bounds, project_box
+from .games import Game, box_bounds, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "RestrictedConstants",
     "StrongMonotonicityUnavailableError",
     "augmented_mapping",
+    "clamp_diagonal",
     "condition_report",
     "consensual_matrix",
     "consensual_part",
@@ -77,19 +78,37 @@ def consensual_part(X) -> np.ndarray:
     return consensual_matrix(X.mean(axis=0))
 
 
+# consensus_gap's row-difference temporary holds at most this many floats
+_GAP_BLOCK = 1 << 20
+
+
 def consensus_gap(X) -> float:
-    """Largest Euclidean distance between any two rows of ``X``."""
+    """Largest Euclidean distance between any two rows of ``X``.
+
+    The row differences are formed for blocks of rows against all rows, so
+    the temporary stays near ``_GAP_BLOCK`` floats instead of ``n**3``.
+    """
     X = np.asarray(X, dtype=float)
-    diff = X[:, None, :] - X[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+    rows = max(1, _GAP_BLOCK // X.size)
+    gap = 0.0
+    for i in range(0, X.shape[0], rows):
+        diff = X[i : i + rows, None, :] - X[None, :, :]
+        gap = np.maximum(gap, np.sqrt((diff**2).sum(axis=2)).max())
+    return float(gap)
+
+
+def clamp_diagonal(X: np.ndarray, lo, hi) -> np.ndarray:
+    """Clamp the diagonal of the C-contiguous square array ``X`` into
+    ``[lo, hi]`` in place and return ``X``."""
+    if not X.flags.c_contiguous:
+        raise ValueError("clamp_diagonal needs a C-contiguous array")
+    clamp(X.reshape(-1)[:: X.shape[0] + 1], lo, hi)
+    return X
 
 
 def project_estimates(boxes, X) -> np.ndarray:
     """Project onto ``Omega_a``: clamp the diagonal, leave the rest alone."""
-    X = np.array(X, dtype=float)
-    idx = np.arange(X.shape[0])
-    X[idx, idx] = project_box(boxes, X[idx, idx])
-    return X
+    return clamp_diagonal(np.array(X, dtype=float, order="C"), *box_bounds(boxes))
 
 
 def is_feasible_estimate(boxes, X, tol: float = 0.0) -> bool:
@@ -103,10 +122,8 @@ def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
     n = game.n
     if X.shape != (n, n):
         raise ValueError(f"expected {n}x{n} estimate matrix, got {X.shape}")
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
     out = X - mixing.W @ X
-    idx = np.arange(n)
-    out[idx, idx] += alpha * game.local_gradients(X)
+    out.reshape(-1)[:: n + 1] += np.asarray(alpha, dtype=float) * game.local_gradients(X)
     return out
 
 
@@ -177,6 +194,12 @@ def restricted_constants_at(constants, mixing: MixingMatrix, alpha: float, beta:
     return min(b1, b2)
 
 
+def _balanced_beta(constants) -> float:
+    """The positive root of ``beta**2 + 2*beta = mu_r / (2*n*L_F)``."""
+    n = constants.L_other.size
+    return -1.0 + np.sqrt(1.0 + constants.mu_r / (2 * n * constants.mapping_lipschitz))
+
+
 def restricted_monotonicity(constants, mixing: MixingMatrix, beta: float | None = None) -> RestrictedConstants:
     """Pick a uniform scaling that makes ``F_a`` restricted strongly monotone.
 
@@ -196,9 +219,8 @@ def restricted_monotonicity(constants, mixing: MixingMatrix, beta: float | None 
     L_F = constants.mapping_lipschitz
     if L_F <= 0:
         raise ValueError("degenerate game: zero Lipschitz constant")
-    n = constants.L_other.size
     if beta is None:
-        beta = -1.0 + np.sqrt(1.0 + constants.mu_r / (2 * n * L_F))
+        beta = _balanced_beta(constants)
     elif beta <= 0:
         raise ValueError("beta must be positive")
     alpha = mixing.lambda_min_nz_IW / (2 * L_F * (1.0 + 1.0 / beta**2))
@@ -286,9 +308,7 @@ def make_augmented_config(
             if not np.all(alpha_arr == alpha_arr[0]):
                 raise ValueError("the restricted path requires a uniform alpha")
             if beta is None:
-                beta = -1.0 + np.sqrt(
-                    1.0 + constants.mu_r / (2 * n * constants.mapping_lipschitz)
-                )
+                beta = _balanced_beta(constants)
             mu_r_Fa = restricted_constants_at(constants, mixing, float(alpha_arr[0]), beta)
             if mu_r_Fa <= 0:
                 raise ValueError(
@@ -350,17 +370,6 @@ class ConditionReport:
     hypotheses_hold: bool
     bound: float
     bound_holds: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "C": self.C,
-            "alpha_recommended": self.alpha_recommended,
-            "H": self.H,
-            "hypotheses_hold": self.hypotheses_hold,
-            "bound": self.bound,
-            "bound_holds": self.bound_holds,
-        }
 
 
 def condition_report(cfg: AugmentedConfig, constants, mixing: MixingMatrix) -> ConditionReport:
@@ -441,13 +450,13 @@ def ne_certificate(
     rng = np.random.default_rng(seed)
     worst_vi = np.inf
     for _ in range(samples):
-        X = project_estimates(game.boxes, rng.uniform(-cube, cube, size=(game.n, game.n)))
+        X = clamp_diagonal(rng.uniform(-cube, cube, size=(game.n, game.n)), game.lo, game.hi)
         worst_vi = min(worst_vi, float(np.sum(Fa_star * (X - X_star))))
     vi_ok = worst_vi >= -tol
 
     x = np.diag(X_star)
     grad = game.mapping(x)
-    lo, hi = box_bounds(game.boxes)
+    lo, hi = game.lo, game.hi
     worst_st = np.inf
     for i in range(game.n):
         for endpoint in (lo[i], hi[i]):

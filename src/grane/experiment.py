@@ -16,7 +16,8 @@ Config layout (see the bundled files under ``grane/configs``)::
                  "mixing": "lazy-laplacian"|"metropolis", "t": optional},
       "solvers": [{"name": ..., "algorithm": "grane"|"acc-grane",
                    "alpha": number|list|"remark4", "path": "lemma2"|"lemma3",
-                   "step": "auto"|number, "max_iters": ..., ...}, ...],
+                   "step": "auto"|number (grane only), "max_iters": ..., ...},
+                  ...],
       "reference": {"step": "auto"|number, "max_iters": ..., "tol": ...},
       "output": {"trace": "trace_{name}.csv", "summary": "summary.json",
                  "plot_data": "residuals.csv"}
@@ -39,7 +40,7 @@ from .augmented import (
     make_augmented_config,
     strong_monotonicity_constant,
 )
-from .games import QuadraticGame, make_quadratic_game, project_box
+from .games import QuadraticGame, clamp, make_quadratic_game
 from .network import (
     Graph,
     complete_graph,
@@ -176,6 +177,10 @@ def _solver_configs(config: dict) -> list[SolverConfig]:
         where = f"solvers[{idx}]"
         algorithm = _require(entry, "algorithm", where)
         alpha = entry.get("alpha", 1.0)
+        if algorithm == "acc-grane" and entry.get("step", "auto") != "auto":
+            raise ConfigError(
+                f"{where}.step", "acc-grane takes its steps 1/mu and 1/L from the constants"
+            )
         try:
             sc = SolverConfig(
                 algorithm=algorithm,
@@ -190,11 +195,6 @@ def _solver_configs(config: dict) -> list[SolverConfig]:
             )
         except ValueError as exc:
             raise ConfigError(where, str(exc)) from exc
-        if sc.algorithm == "centralized":
-            raise ConfigError(
-                f"{where}.algorithm",
-                "the centralized solver is the reference; configure it under 'reference'",
-            )
         if sc.name in names:
             raise ConfigError(f"{where}.name", f"duplicate solver name {sc.name!r}")
         names.add(sc.name)
@@ -310,7 +310,7 @@ def run_experiment(path, output_dir=None) -> dict:
 
     x_star, X_star = _reference_equilibrium(game, reference_section)
     fp_residual = float(
-        np.linalg.norm(x_star - project_box(game.boxes, x_star - game.mapping(x_star)))
+        np.linalg.norm(x_star - clamp(x_star - game.mapping(x_star), game.lo, game.hi))
     )
 
     summary = {

@@ -1,10 +1,11 @@
 """Convex games on box action sets, and the quadratic benchmark family.
 
-A game with ``n`` players is described by per-player partial-gradient
-evaluators: player ``i`` (indices run ``0..n-1``) minimizes a cost
-``J_i(x_i, x_-i)`` over a closed interval, and the solvers only ever query
-``dJ_i/dx_i`` at joint points ``x`` in ``R^n``. The stacked vector of these
-partial gradients is the *game mapping* ``F(x)``.
+In a game with ``n`` players, player ``i`` (indices run ``0..n-1``)
+minimizes a cost ``J_i(x_i, x_-i)`` over a closed interval. The solvers only
+ever need the partial gradients ``dJ_i/dx_i``, and always all ``n`` at once:
+stacked at one joint point ``x`` in ``R^n`` they form the *game mapping*
+``F(x)``, and taken at the rows of an estimate matrix they are the *local
+gradients*.
 
 The quadratic family implemented here has costs
 
@@ -29,6 +30,7 @@ __all__ = [
     "GameConstants",
     "QuadraticGame",
     "box_bounds",
+    "clamp",
     "make_quadratic_game",
     "project_box",
     "quadratic_constants",
@@ -50,9 +52,6 @@ class BoxSet:
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def clamp(self, v: float) -> float:
-        return min(max(v, self.lo), self.hi)
-
     def contains(self, v: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= v <= self.hi + tol
 
@@ -64,10 +63,14 @@ def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def clamp(v: np.ndarray, lo, hi) -> np.ndarray:
+    """Clamp the float array ``v`` into ``[lo, hi]`` in place and return it."""
+    return v.clip(lo, hi, out=v)
+
+
 def project_box(boxes, v) -> np.ndarray:
     """Componentwise projection of ``v`` onto the product of the boxes."""
-    lo, hi = box_bounds(boxes)
-    return np.clip(np.asarray(v, dtype=float), lo, hi)
+    return clamp(np.array(v, dtype=float), *box_bounds(boxes))
 
 
 @dataclass(frozen=True)
@@ -114,55 +117,25 @@ class GameConstants:
 
 
 class Game:
-    """A convex game given by a deterministic partial-gradient evaluator.
+    """The vectorized protocol the solvers consume.
 
-    Parameters
-    ----------
-    n : int
-        Number of players.
-    partial_gradient : callable
-        ``partial_gradient(i, x) -> float`` returning ``dJ_i/dx_i`` at the
-        joint point ``x``; must be defined on all of ``R^n``.
-    boxes : sequence of BoxSet
-        Action interval of each player.
-    constants : GameConstants
-        Regularity constants used for step sizes and certificates.
+    A game has ``n`` players, one action interval per player in ``boxes``
+    (stacked once into the arrays ``lo`` and ``hi``) and the regularity
+    ``constants`` used for step sizes and certificates. Subclasses define
+    ``mapping(x)``, the game mapping at a joint point, and
+    ``local_gradients(X)``, whose component ``i`` is ``dJ_i/dx_i`` evaluated
+    at row ``i`` of an ``n x n`` estimate matrix.
     """
 
-    def __init__(self, n, partial_gradient, boxes, constants):
+    def __init__(self, n, boxes, constants):
         if n < 1:
             raise ValueError("need at least one player")
         if len(boxes) != n:
             raise ValueError(f"expected {n} boxes, got {len(boxes)}")
         self.n = int(n)
-        self._eval = partial_gradient
         self.boxes = list(boxes)
+        self.lo, self.hi = box_bounds(self.boxes)
         self.constants = constants
-
-    def partial_gradient(self, i: int, x) -> float:
-        """``dJ_i/dx_i`` at the joint point ``x``."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"player index {i} out of range(0, {self.n})")
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected point of length {self.n}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite joint point")
-        return float(self._eval(i, x))
-
-    def mapping(self, x) -> np.ndarray:
-        """The game mapping ``F(x)``: component ``i`` is ``dJ_i/dx_i`` at ``x``."""
-        return np.array([self.partial_gradient(i, x) for i in range(self.n)])
-
-    def local_gradients(self, X) -> np.ndarray:
-        """Per-player gradients, each taken at that player's own estimate.
-
-        ``X`` is an ``n x n`` estimate matrix whose row ``i`` is player
-        ``i``'s estimate of the joint action; component ``i`` of the result
-        is ``dJ_i/dx_i`` evaluated at row ``i``.
-        """
-        X = np.asarray(X, dtype=float)
-        return np.array([self.partial_gradient(i, X[i]) for i in range(self.n)])
 
 
 class QuadraticGame(Game):
@@ -170,7 +143,8 @@ class QuadraticGame(Game):
 
     ``a`` holds the (positive) quadratic coefficients, ``b`` the linear ones
     and ``coupling`` the zero-diagonal matrix of pairwise terms ``c_ij``.
-    The game mapping is the affine map ``x -> (Diag(a) + C) x + b``.
+    The game mapping is the affine map ``x -> (Diag(a) + C) x + b``; its
+    matrix is built once.
     """
 
     def __init__(self, a, b, coupling, boxes):
@@ -187,11 +161,8 @@ class QuadraticGame(Game):
         self.a = a
         self.b = b
         self.coupling = C
-        super().__init__(n, self._quadratic_gradient, boxes, None)
-        self.constants = quadratic_constants(self)
-
-    def _quadratic_gradient(self, i, x):
-        return self.a[i] * x[i] + self.b[i] + self.coupling[i] @ x
+        self._M = np.diag(a) + C
+        super().__init__(n, boxes, quadratic_constants(self))
 
     @property
     def antisymmetric(self) -> bool:
@@ -200,7 +171,7 @@ class QuadraticGame(Game):
 
     def jacobian(self) -> np.ndarray:
         """Jacobian ``Diag(a) + C`` of the (affine) game mapping."""
-        return np.diag(self.a) + self.coupling
+        return self._M.copy()
 
     def cost(self, i: int, x) -> float:
         """Cost ``J_i`` at the joint point ``x`` (used by finite-difference checks)."""
@@ -213,12 +184,12 @@ class QuadraticGame(Game):
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite joint point")
-        return self.jacobian() @ x + self.b
+        return self._M @ x + self.b
 
     def local_gradients(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         # row i contributes a_i*X_ii + b_i + sum_j c_ij*X_ij (c_ii = 0)
-        return self.a * np.diag(X) + self.b + (self.coupling * X).sum(axis=1)
+        return self.a * X.diagonal() + self.b + (self.coupling * X).sum(axis=1)
 
     def to_json(self) -> dict:
         return {

@@ -49,11 +49,6 @@ class Graph:
         self.n = int(n)
         self.edges = tuple(sorted(canon))
 
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(
-            {j for e in self.edges for j in e if i in e} - {i}
-        )
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=int)
         for i, j in self.edges:

@@ -16,12 +16,16 @@ augmented mapping ``F_a``:
 * :func:`centralized_gradient_play` solves the underlying ``n``-dimensional
   game directly and provides the reference equilibrium for traces.
 
-Every run is deterministic given its inputs; traces record per-iteration
-residuals and export to CSV.
+Each solver only supplies its step; one driver, :func:`_iterate`, counts the
+iterations, measures the iterate movement, guards against divergence,
+applies the stopping tolerance and hands every iterate to the trace. Every
+run is deterministic given its inputs; traces record per-iteration residuals
+and export to CSV.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -31,11 +35,11 @@ from .augmented import (
     AugmentedConfig,
     StrongMonotonicityUnavailableError,
     augmented_mapping,
+    clamp_diagonal,
     consensus_gap,
     is_feasible_estimate,
-    project_estimates,
 )
-from .games import Game, project_box
+from .games import Game, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -45,7 +49,6 @@ __all__ = [
     "acc_grane_run",
     "acceleration_weights",
     "centralized_gradient_play",
-    "grane_player_step",
     "grane_run",
     "residual_metrics",
 ]
@@ -58,7 +61,8 @@ TRACE_COLUMNS = ("k", "fro_residual", "relative_error", "consensus_gap", "vi_res
 
 
 class DivergenceError(RuntimeError):
-    """The iteration is growing instead of contracting (step size too large)."""
+    """The iteration is growing instead of contracting, or left the finite
+    numbers (step size too large)."""
 
 
 @dataclass
@@ -66,7 +70,8 @@ class SolverConfig:
     """Settings of one solver run.
 
     ``step='auto'`` resolves to ``mu / L**2`` with the constants of the
-    selected path. ``alpha`` is a uniform value, an explicit per-player
+    selected path; ``acc-grane`` takes its two steps from the constants and
+    ignores ``step``. ``alpha`` is a uniform value, an explicit per-player
     list, or ``'remark4'`` for the automatic restricted-path scaling;
     ``beta`` optionally overrides the balance parameter of that scaling.
     ``stop_tol`` stops the run early once the iterate movement falls below
@@ -85,7 +90,7 @@ class SolverConfig:
     name: str | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ("grane", "acc-grane", "centralized"):
+        if self.algorithm not in ("grane", "acc-grane"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.path not in ("lemma2", "lemma3"):
             raise ValueError(f"unknown monotonicity path {self.path!r}")
@@ -123,19 +128,12 @@ class ConvergenceTrace:
 
     # -- recording -----------------------------------------------------
 
-    def push_dense(self, fro_to_ref: float):
-        self.dense_fro.append(fro_to_ref)
-
     def push_record(self, k: int, metrics: dict):
         if self.records and k <= self.records[-1]["k"]:
             raise ValueError("iteration indices must be strictly increasing")
         self.records.append({"k": k, **metrics})
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def iterations(self) -> int:
-        return len(self.dense_fro) - 1
 
     def normalized_residuals(self) -> np.ndarray:
         """Dense ``|X_k - X*| / |X_0 - X*|`` history."""
@@ -160,16 +158,7 @@ class ConvergenceTrace:
         with open(path, "w") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for rec in self.records:
-                fh.write(
-                    "%d,%.17g,%.17g,%.17g,%.17g\n"
-                    % (
-                        rec["k"],
-                        rec["fro_residual"],
-                        rec["relative_error"],
-                        rec["consensus_gap"],
-                        rec["vi_residual"],
-                    )
-                )
+                fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % tuple(rec[c] for c in TRACE_COLUMNS))
 
 
 def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha) -> dict:
@@ -190,7 +179,7 @@ def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha) -> d
         rel = 0.0 if num == 0.0 else float("inf")
     else:
         rel = num**2 / den**2
-    step_point = project_estimates(game.boxes, X - augmented_mapping(game, mixing, alpha, X))
+    step_point = clamp_diagonal(X - augmented_mapping(game, mixing, alpha, X), game.lo, game.hi)
     return {
         "fro_residual": num,
         "relative_error": rel,
@@ -199,16 +188,75 @@ def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha) -> d
     }
 
 
-def _guard(step_norms: list[float], floor: float):
-    k = len(step_norms) - 1
-    if k >= _GUARD_WINDOW:
-        old = step_norms[k - _GUARD_WINDOW]
-        new = step_norms[k]
-        if old > 0.0 and new > _GUARD_FACTOR * old and new > floor:
+def _norm(d: np.ndarray) -> float:
+    """``np.linalg.norm(d)`` of a float array, without its argument handling."""
+    d = d.ravel(order="K")
+    return math.sqrt(d.dot(d))
+
+
+def _iterate(step, x, max_iters: int, stop_tol: float, observe):
+    """Iterate ``x <- step(x)``; returns the last iterate and the step count.
+
+    ``observe(k, x, last)`` sees iterate ``k`` for ``k = 0, 1, ...``, with
+    ``last`` true on the final one. The run stops after ``max_iters`` steps
+    or after a step that moves the iterate by at most ``stop_tol`` (0
+    disables). It raises :class:`DivergenceError` when a move is not finite,
+    or when a move exceeds both ``_GUARD_FACTOR`` times the move
+    ``_GUARD_WINDOW`` steps earlier and 1e-8 times the first nonzero move.
+    """
+    observe(0, x, max_iters == 0)
+    window = [0.0] * _GUARD_WINDOW  # the last moves, by k % _GUARD_WINDOW
+    floor = 0.0
+    k = 0
+    while k < max_iters:
+        x_new = step(x)
+        move = _norm(x_new - x)
+        k += 1
+        if not math.isfinite(move):
             raise DivergenceError(
-                f"step norm grew from {old:.3g} to {new:.3g} within "
+                f"non-finite iterate movement at iteration {k}; reduce the step size"
+            )
+        old = window[k % _GUARD_WINDOW]
+        if old > 0.0 and move > _GUARD_FACTOR * old and move > floor:
+            raise DivergenceError(
+                f"step norm grew from {old:.3g} to {move:.3g} within "
                 f"{_GUARD_WINDOW} iterations; reduce the step size"
             )
+        window[k % _GUARD_WINDOW] = move
+        if floor == 0.0 and move > 0.0:
+            floor = 1e-8 * move
+        x = x_new
+        stop = stop_tol > 0.0 and move <= stop_tol
+        observe(k, x, stop or k == max_iters)
+        if stop:
+            break
+    return x, k
+
+
+def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
+    """``X0`` as a C-ordered float array, or the zero matrix with a clamped
+    diagonal; every matrix the solvers derive from it is C-ordered too."""
+    if X0 is None:
+        return clamp_diagonal(np.zeros((game.n, game.n)), game.lo, game.hi)
+    X = np.array(X0, dtype=float, order="C")
+    if not is_feasible_estimate(game.boxes, X):
+        raise ValueError(f"{name} has an infeasible diagonal")
+    return X
+
+
+def _observer(trace: ConvergenceTrace, game, mixing, alpha, reference, X_start):
+    """The driver's callback for a distributed run: the distance to
+    ``reference`` at every iterate, a full record every ``trace.stride`` and
+    at the last."""
+    X_ref = None if reference is None else np.asarray(reference, dtype=float)
+    dense, stride = trace.dense_fro.append, trace.stride
+
+    def observe(k, X, last):
+        dense(_norm(X - X_ref) if X_ref is not None else math.nan)
+        if k % stride == 0 or last:
+            trace.push_record(k, residual_metrics(X, X_ref, X_start, game, mixing, alpha))
+
+    return observe
 
 
 def grane_run(
@@ -221,103 +269,29 @@ def grane_run(
 ):
     """Run distributed gradient play on the estimate matrix.
 
-    ``X0`` defaults to the zero matrix with a clamped diagonal and must have
-    a feasible diagonal if supplied. ``reference`` is the equilibrium matrix
-    used for residuals (rows all equal to the reference Nash equilibrium).
-    Returns the final matrix and the trace.
+    Each iteration is ``X <- P(X - step * F_a(X))``. ``X0`` defaults to the
+    zero matrix with a clamped diagonal and must have a feasible diagonal if
+    supplied. ``reference`` is the equilibrium matrix used for residuals
+    (rows all equal to the reference Nash equilibrium). Returns the final
+    matrix and the trace.
     """
-    n = game.n
-    X = (
-        project_estimates(game.boxes, np.zeros((n, n)))
-        if X0 is None
-        else np.array(X0, dtype=float)
-    )
-    if not is_feasible_estimate(game.boxes, X):
-        raise ValueError("X0 has an infeasible diagonal")
+    X = _start_matrix(game, X0, "X0")
     lam = sc.resolve_step(cfg)
-    X_ref = None if reference is None else np.asarray(reference, dtype=float)
-    X_start = X.copy()
+    lo, hi, alpha = game.lo, game.hi, cfg.alpha
+
+    def step(X):
+        return clamp_diagonal(X - lam * augmented_mapping(game, mixing, alpha, X), lo, hi)
 
     trace = ConvergenceTrace(
         stride=sc.trace_stride,
         metadata={"algorithm": "grane", "step": lam, "path": cfg.path},
     )
     t0 = time.perf_counter()
-
-    def dense(Xc):
-        trace.push_dense(
-            float(np.linalg.norm(Xc - X_ref)) if X_ref is not None else float("nan")
-        )
-
-    def record(k, Xc):
-        trace.push_record(k, residual_metrics(Xc, X_ref, X_start, game, mixing, cfg.alpha))
-
-    dense(X)
-    record(0, X)
-    # hot loop: the update is P(X - lam*F_a(X)) with F_a and the projection
-    # inlined (identical arithmetic to augmented_mapping/project_estimates)
-    W = mixing.W
-    alpha = np.broadcast_to(np.asarray(cfg.alpha, dtype=float), (n,))
-    idx = np.arange(n)
-    lo = np.array([b.lo for b in game.boxes])
-    hi = np.array([b.hi for b in game.boxes])
-    step_norms: list[float] = []
-    floor = 0.0
-    k = 0
-    while k < sc.max_iters:
-        Fa = X - W @ X
-        Fa[idx, idx] += alpha * game.local_gradients(X)
-        X_new = X - lam * Fa
-        X_new[idx, idx] = np.clip(X_new[idx, idx], lo, hi)
-        k += 1
-        move = float(np.linalg.norm(X_new - X))
-        step_norms.append(move)
-        if floor == 0.0 and move > 0.0:
-            floor = 1e-8 * move
-        X = X_new
-        dense(X)
-        if k % sc.trace_stride == 0 or k == sc.max_iters:
-            record(k, X)
-        _guard(step_norms, floor)
-        if sc.stop_tol > 0.0 and move <= sc.stop_tol:
-            if trace.records[-1]["k"] != k:
-                record(k, X)
-            break
+    observe = _observer(trace, game, mixing, alpha, reference, X)
+    X, k = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
     trace.metadata["wall_time"] = time.perf_counter() - t0
     trace.metadata["iterations"] = k
     return X, trace
-
-
-def grane_player_step(game: Game, mixing: MixingMatrix, alpha, lam: float, X) -> np.ndarray:
-    """One gradient-play iteration written as each player's local update.
-
-    Player ``i`` first mixes every coordinate of its estimate with the
-    neighbors' estimates,
-
-        X_il <- (1 - lam + lam*w_ii) * X_il + lam * sum_j w_ij * X_jl,
-
-    then the own coordinate additionally takes the gradient step and is
-    clamped to the action interval:
-
-        X_ii <- clamp(mixed X_ii - lam * alpha_i * dJ_i(row_i)).
-
-    This is the row-wise form of ``P(X - lam * F_a(X))`` and agrees with the
-    matrix update to rounding error; it exists for exposition and as a
-    cross-check of the matrix form.
-    """
-    X = np.asarray(X, dtype=float)
-    n = game.n
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    W = mixing.W
-    out = np.empty_like(X)
-    for i in range(n):
-        grad_i = game.partial_gradient(i, X[i])
-        for l in range(n):
-            mixed = sum(W[i, j] * X[j, l] for j in mixing.graph.neighbors(i))
-            out[i, l] = (1.0 - lam + lam * W[i, i]) * X[i, l] + lam * mixed
-            if l == i:
-                out[i, l] = game.boxes[i].clamp(out[i, l] - lam * alpha[i] * grad_i)
-    return out
 
 
 def acceleration_weights(gamma: float, count: int):
@@ -351,7 +325,8 @@ def acc_grane_run(
     O(n^2) instead of re-averaging the whole history; they are jointly
     rescaled when the geometrically growing weights approach overflow,
     which leaves every iterate unchanged. Requires the strong-monotonicity
-    constant (``cfg.mu_Fa``).
+    constant (``cfg.mu_Fa``). Records run over ``k = 0 .. max_iters - 1``,
+    and the iteration ``k = 0`` counts as one of the ``max_iters``.
     """
     if cfg.mu_Fa is None:
         raise StrongMonotonicityUnavailableError(
@@ -360,16 +335,8 @@ def acc_grane_run(
         )
     mu, L = cfg.mu_Fa, cfg.L_Fa
     gamma = L / mu
-    n = game.n
-    Y = (
-        project_estimates(game.boxes, np.zeros((n, n)))
-        if Y0 is None
-        else np.array(Y0, dtype=float)
-    )
-    if not is_feasible_estimate(game.boxes, Y):
-        raise ValueError("Y0 has an infeasible diagonal")
-    X_ref = None if reference is None else np.asarray(reference, dtype=float)
-    Y_start = Y.copy()
+    Y = _start_matrix(game, Y0, "Y0")
+    lo, hi, alpha = game.lo, game.hi, cfg.alpha
 
     trace = ConvergenceTrace(
         stride=sc.trace_stride,
@@ -382,54 +349,33 @@ def acc_grane_run(
     )
     t0 = time.perf_counter()
 
-    A = np.zeros((n, n))  # sum of lam_t * Y_t
-    B = np.zeros((n, n))  # sum of lam_t * (Y_t - F_a(Y_t)/mu)
+    A = np.zeros_like(Y)  # sum of lam_t * Y_t
+    B = np.zeros_like(Y)  # sum of lam_t * (Y_t - F_a(Y_t)/mu)
     S = 0.0
     lam_t = 1.0
-    y_tilde_prev = None
-    step_norms: list[float] = []
-    floor = 0.0
-    k = 0
-    while k < sc.max_iters:
-        Fa_Y = augmented_mapping(game, mixing, cfg.alpha, Y)
+
+    def step(_):
+        """Fold ``Y_k`` into the sums, step to ``Y_{k+1}``; returns the average."""
+        nonlocal Y, A, B, S, lam_t
         A += lam_t * Y
-        B += lam_t * (Y - Fa_Y / mu)
+        B += lam_t * (Y - augmented_mapping(game, mixing, alpha, Y) / mu)
         S += lam_t
-        X_k = project_estimates(game.boxes, B / S)
-        Y = project_estimates(
-            game.boxes, X_k - augmented_mapping(game, mixing, cfg.alpha, X_k) / L
-        )
+        X_k = clamp_diagonal(B / S, lo, hi)
+        Y = clamp_diagonal(X_k - augmented_mapping(game, mixing, alpha, X_k) / L, lo, hi)
         y_tilde = A / S
-        trace.push_dense(
-            float(np.linalg.norm(y_tilde - X_ref)) if X_ref is not None else float("nan")
-        )
-        if k % sc.trace_stride == 0 or k == sc.max_iters - 1:
-            trace.push_record(
-                k, residual_metrics(y_tilde, X_ref, Y_start, game, mixing, cfg.alpha)
-            )
-        if y_tilde_prev is not None:
-            move = float(np.linalg.norm(y_tilde - y_tilde_prev))
-            step_norms.append(move)
-            if floor == 0.0 and move > 0.0:
-                floor = 1e-8 * move
-            _guard(step_norms, floor)
-            if sc.stop_tol > 0.0 and move <= sc.stop_tol:
-                if trace.records[-1]["k"] != k:
-                    trace.push_record(
-                        k, residual_metrics(y_tilde, X_ref, Y_start, game, mixing, cfg.alpha)
-                    )
-                k += 1
-                break
-        y_tilde_prev = y_tilde
         lam_t = S / gamma
         if S > 1e100:  # rescale the running sums; ratios are unaffected
             A /= S
             B /= S
             lam_t /= S
             S = 1.0
-        k += 1
+        return y_tilde
+
+    observe = _observer(trace, game, mixing, alpha, reference, Y)
+    y_tilde = step(None)  # iteration 0; its average is the start itself
+    y_tilde, k = _iterate(step, y_tilde, sc.max_iters - 1, sc.stop_tol, observe)
     trace.metadata["wall_time"] = time.perf_counter() - t0
-    trace.metadata["iterations"] = k
+    trace.metadata["iterations"] = k + 1
     return y_tilde, trace
 
 
@@ -440,12 +386,14 @@ def centralized_gradient_play(
     tol: float = 1e-12,
     x0=None,
 ):
-    """Projected gradient play on the joint action space.
+    """Projected gradient play ``x <- P(x - step * F(x))`` on the joint
+    action space.
 
     Serves as the ground-truth oracle for the distributed runs. The
     automatic step is ``mu_F / (sqrt(n) * max_i L_(i))**2``, a conservative
     bound on the mapping's Lipschitz constant; it requires ``mu_F > 0``.
-    Stops when the iterate moves by at most ``tol``.
+    Stops when the iterate moves by at most ``tol`` (0 runs all
+    ``max_iters``).
     """
     constants = game.constants
     if step == "auto":
@@ -456,17 +404,13 @@ def centralized_gradient_play(
     elif not isinstance(step, (int, float)) or step <= 0:
         raise ValueError("step must be positive or 'auto'")
 
-    x = project_box(game.boxes, np.zeros(game.n) if x0 is None else np.asarray(x0, float))
-    step_norms: list[float] = []
-    floor = 0.0
-    for _ in range(max_iters):
-        x_new = project_box(game.boxes, x - step * game.mapping(x))
-        move = float(np.linalg.norm(x_new - x))
-        step_norms.append(move)
-        if floor == 0.0 and move > 0.0:
-            floor = 1e-8 * move
-        x = x_new
-        _guard(step_norms, floor)
-        if move <= tol:
-            break
+    lo, hi = game.lo, game.hi
+    x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
+    x, _ = _iterate(
+        lambda x: clamp(x - step * game.mapping(x), lo, hi),
+        x,
+        max_iters,
+        tol,
+        lambda k, x, last: None,
+    )
     return x

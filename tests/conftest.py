@@ -22,6 +22,41 @@ def linear_solve_equilibrium(game: QuadraticGame) -> np.ndarray:
     return np.linalg.solve(game.jacobian(), -game.b)
 
 
+def grane_player_step(game: QuadraticGame, mixing, alpha, lam: float, X) -> np.ndarray:
+    """Row-wise oracle for one GRANE iteration, written as each player's update.
+
+    Player ``i`` first mixes every coordinate of its estimate with those of
+    its neighbours, the ``j != i`` with ``w_ij != 0``,
+
+        X_il <- (1 - lam + lam*w_ii) * X_il + lam * sum_j w_ij * X_jl,
+
+    then its own coordinate also takes the gradient step and is clamped to
+    its action interval:
+
+        X_ii <- clamp(mixed X_ii - lam * alpha_i * dJ_i/dx_i(row_i)),
+
+    with ``dJ_i/dx_i(x) = a_i*x_i + b_i + sum_j c_ij*x_j`` summed by hand.
+    This is the row-wise form of ``P(X - lam * F_a(X))``.
+    """
+    X = np.asarray(X, dtype=float)
+    n = game.n
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
+    W = mixing.W
+    out = np.empty_like(X)
+    for i in range(n):
+        row = X[i]
+        coupling = sum(game.coupling[i, j] * row[j] for j in range(n))
+        grad_i = game.a[i] * row[i] + game.b[i] + coupling
+        neighbours = [j for j in range(n) if j != i and W[i, j] != 0.0]
+        for l in range(n):
+            mixed = sum(W[i, j] * X[j, l] for j in neighbours)
+            out[i, l] = (1.0 - lam + lam * W[i, i]) * X[i, l] + lam * mixed
+            if l == i:
+                box = game.boxes[i]
+                out[i, l] = min(max(out[i, l] - lam * alpha[i] * grad_i, box.lo), box.hi)
+    return out
+
+
 @pytest.fixture
 def g2():
     return two_player_game(1.0)

@@ -19,6 +19,7 @@ from grane import (
     restricted_monotonicity,
     strong_monotonicity_constant,
 )
+from grane import augmented
 from grane.augmented import is_feasible_estimate, restricted_constants_at
 
 from conftest import linear_solve_equilibrium
@@ -393,3 +394,19 @@ def test_consensus_gap_values():
     assert consensus_gap(consensual_matrix([1.0, 2.0, 3.0])) == 0.0
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert_allclose(consensus_gap(X), 5.0)
+
+
+def test_consensus_gap_matches_pairwise_loop(monkeypatch):
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 40):
+        X = rng.standard_normal((n, n))
+        loop = max(
+            float(np.sqrt(np.sum((X[i] - X[j]) ** 2))) for i in range(n) for j in range(n)
+        )
+        whole = consensus_gap(X)
+        assert_allclose(whole, loop, rtol=1e-14)
+        # row blocks of any size give the same value bit for bit
+        for block in (1, 3 * n * n, n**3):
+            monkeypatch.setattr(augmented, "_GAP_BLOCK", block)
+            assert consensus_gap(X) == whole
+        monkeypatch.undo()

@@ -237,6 +237,26 @@ def test_cli_divergence_exit_3(tmp_path):
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == EXIT_DIVERGENCE
 
 
+def test_cli_nonfinite_iterate_exit_3(tmp_path, capsys):
+    config = g2_config_dict()
+    config["solvers"][0]["step"] = 1e6
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == EXIT_DIVERGENCE
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_acc_grane_rejects_numeric_step(tmp_path):
+    config = g2_config_dict()
+    config["solvers"][1]["step"] = 0.1
+    path = write_config(tmp_path, config)
+    report = validate_config(path)
+    assert any(issue.startswith("solvers[1].step:") for issue in report.issues)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(path, output_dir=tmp_path)
+    assert err.value.field == "solvers[1].step"
+
+
 def test_cli_lemma2_unavailable_exit_4(tmp_path, capsys):
     config = load_config(bundled_config("g2r.json"))
     config["solvers"] = [{"name": "bad", "algorithm": "grane", "alpha": 1.0,

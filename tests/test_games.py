@@ -19,16 +19,21 @@ from conftest import linear_solve_equilibrium
 
 
 def test_partial_gradient_examples(g2):
-    assert g2.partial_gradient(0, [0.0, 0.0]) == -2.0
+    assert g2.mapping([0.0, 0.0])[0] == -2.0
     # (0.8, 0.4) solves the 2x2 linear equilibrium system
     assert_allclose(linear_solve_equilibrium(g2), [0.8, 0.4], atol=1e-14)
-    assert abs(g2.partial_gradient(1, [0.8, 0.4])) < 1e-14
+    assert abs(g2.mapping([0.8, 0.4])[1]) < 1e-14
+    # the local gradient of player i is taken at row i alone
+    X = np.array([[0.0, 0.0], [0.8, 0.4]])
+    assert g2.local_gradients(X)[0] == -2.0
+    assert abs(g2.local_gradients(X)[1]) < 1e-14
 
 
 def test_partial_gradient_decoupled_zero():
     game = QuadraticGame([1.0, 1.0], [0.0, 0.0], np.zeros((2, 2)),
                          [BoxSet(-1, 1), BoxSet(-1, 1)])
-    assert game.partial_gradient(0, [0.0, 5.0]) == 0.0
+    assert game.mapping([0.0, 5.0])[0] == 0.0
+    assert game.local_gradients([[0.0, 5.0], [0.0, 0.0]])[0] == 0.0
 
 
 def test_mapping_examples(g2):
@@ -42,10 +47,8 @@ def test_single_player_quadratic():
 
 
 def test_gradient_input_validation(g2):
-    with pytest.raises(IndexError):
-        g2.partial_gradient(2, [0.0, 0.0])
     with pytest.raises(ValueError):
-        g2.partial_gradient(0, [np.nan, 0.0])
+        g2.mapping([np.nan, 0.0])
     with pytest.raises(ValueError):
         g2.mapping([np.inf, 0.0])
 
@@ -59,7 +62,7 @@ def test_gradient_matches_finite_differences(g2):
             e = np.zeros(2)
             e[i] = h
             fd = (g2.cost(i, x + e) - g2.cost(i, x - e)) / (2 * h)
-            grad = g2.partial_gradient(i, x)
+            grad = g2.mapping(x)[i]
             assert abs(fd - grad) <= 1e-6 * max(1.0, abs(grad))
 
 
@@ -156,12 +159,12 @@ def test_lipschitz_sampling():
         # own-variable perturbation
         y = x.copy()
         y[i] = rng.uniform(-10, 10)
-        own = abs(game.partial_gradient(i, x) - game.partial_gradient(i, y))
+        own = abs(game.mapping(x)[i] - game.mapping(y)[i])
         assert own <= c.L_own[i] * abs(x[i] - y[i]) + 1e-9
         # rivals' perturbation
         z = rng.uniform(-10, 10, size=6)
         z[i] = x[i]
-        other = abs(game.partial_gradient(i, x) - game.partial_gradient(i, z))
+        other = abs(game.mapping(x)[i] - game.mapping(z)[i])
         mask = np.arange(6) != i
         assert other <= c.L_other[i] * np.linalg.norm(x[mask] - z[mask]) + 1e-9
 
@@ -231,5 +234,5 @@ def test_local_gradients_match_per_player(benchmark20):
     rng = np.random.default_rng(4)
     X = rng.uniform(-5, 5, size=(game.n, game.n))
     vec = game.local_gradients(X)
-    by_hand = [game.partial_gradient(i, X[i]) for i in range(game.n)]
+    by_hand = [game.mapping(X[i])[i] for i in range(game.n)]
     assert_allclose(vec, by_hand, atol=1e-12)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grane import (
+    AugmentedConfig,
     BoxSet,
     DivergenceError,
     QuadraticGame,
@@ -12,16 +15,19 @@ from grane import (
     acceleration_weights,
     augmented_mapping,
     centralized_gradient_play,
+    complete_graph,
     consensual_matrix,
-    grane_player_step,
     grane_run,
     make_augmented_config,
-    project_box,
+    make_quadratic_game,
+    mixing_from_laplacian,
+    path_graph,
     project_estimates,
+    random_tree,
     residual_metrics,
 )
 
-from conftest import linear_solve_equilibrium
+from conftest import grane_player_step, linear_solve_equilibrium
 
 
 @pytest.fixture
@@ -91,6 +97,29 @@ def test_rowwise_update_matches_matrix_form(g2_setup, benchmark20):
             assert_allclose(by_player, by_matrix, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    topology=st.sampled_from(["path", "tree", "complete"]),
+    antisymmetric=st.booleans(),
+)
+def test_grane_step_matches_rowwise_oracle(n, seed, topology, antisymmetric):
+    game = make_quadratic_game(n, seed, c_range=(-1.0, 1.0), antisymmetric=antisymmetric)
+    graph = {"path": path_graph(n), "tree": random_tree(n, seed), "complete": complete_graph(n)}
+    mixing = mixing_from_laplacian(graph[topology])
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.01, 1.0, size=n)
+    lam = float(rng.uniform(0.01, 0.5))
+    X0 = project_estimates(game.boxes, rng.uniform(-12, 12, size=(n, n)))
+    # the step is explicit, so the constants only label the run
+    cfg = AugmentedConfig(alpha=alpha, L_Fa=1.0, mu_Fa=1.0, mu_r_Fa=None, gamma=1.0,
+                          path="lemma2")
+    X1, trace = grane_run(game, mixing, cfg, SolverConfig(step=lam, max_iters=1), X0=X0)
+    assert trace.metadata["iterations"] == 1
+    assert_allclose(X1, grane_player_step(game, mixing, alpha, lam, X0), rtol=0, atol=1e-12)
+
+
 def test_grane_rejects_infeasible_start(g2_setup):
     game, mixing, cfg, _ = g2_setup
     X0 = np.zeros((2, 2))
@@ -111,6 +140,27 @@ def test_grane_divergence_guard(g2_setup):
     game, mixing, cfg, _ = g2_setup
     with pytest.raises(DivergenceError):
         grane_run(game, mixing, cfg, SolverConfig(step=5.0, max_iters=5000))
+
+
+def test_grane_nonfinite_iterate_raises(g2_setup):
+    # the iterates overflow well inside the 100-iteration growth window
+    game, mixing, cfg, _ = g2_setup
+    with pytest.raises(DivergenceError, match="non-finite"):
+        grane_run(game, mixing, cfg, SolverConfig(step=1e6, max_iters=50))
+
+
+def test_start_matrix_memory_layout_is_irrelevant(w2):
+    # the equilibrium (10, -5) sits on player 0's bound, so the clamps act
+    game = QuadraticGame([1.0, 1.0], [-20.0, 5.0], np.zeros((2, 2)),
+                         [BoxSet(-10, 10), BoxSet(-10, 10)])
+    cfg = make_augmented_config(game, w2, alpha=1.0, path="lemma2")
+    start = np.array([[9.0, 3.0], [-2.0, 1.0]])
+    for run, algorithm in ((grane_run, "grane"), (acc_grane_run, "acc-grane")):
+        sc = SolverConfig(algorithm=algorithm, max_iters=200)
+        by_rows, _ = run(game, w2, cfg, sc, start)
+        by_columns, _ = run(game, w2, cfg, sc, np.asfortranarray(start))
+        assert np.array_equal(by_rows, by_columns)
+        assert by_rows[0, 0] <= 10.0
 
 
 def test_runs_are_reproducible(g2_setup):
@@ -283,6 +333,8 @@ def test_trace_iterations_to(g2_setup):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="sgd")
+    with pytest.raises(ValueError):
+        SolverConfig(algorithm="centralized")
     with pytest.raises(ValueError):
         SolverConfig(step=-0.1)
     with pytest.raises(ValueError):
