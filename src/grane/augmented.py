@@ -131,6 +131,12 @@ def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
 # constants of the augmented mapping
 
 
+def _alpha_vector(alpha, n: int) -> np.ndarray:
+    if np.ndim(alpha) > 1 or np.size(alpha) not in (1, n):
+        raise ValueError(f"alpha must be a number or a list of {n} numbers, got {alpha!r}")
+    return np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
+
+
 def lipschitz_constant(constants, mixing: MixingMatrix, alpha) -> float:
     """Lipschitz constant of the augmented mapping on ``Omega_a``.
 
@@ -156,7 +162,7 @@ def strong_monotonicity_constant(constants, mixing: MixingMatrix, alpha):
     if mu_F <= 0:
         return None
     n = constants.L_other.size
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
+    alpha = _alpha_vector(alpha, n)
     a1 = mixing.lambda_min_nz_IW - 0.5 * float(
         np.max(alpha * (np.sqrt(mu_F**2 + constants.L_other**2) - mu_F))
     )
@@ -200,7 +206,9 @@ def _balanced_beta(constants) -> float:
     return -1.0 + np.sqrt(1.0 + constants.mu_r / (2 * n * constants.mapping_lipschitz))
 
 
-def restricted_monotonicity(constants, mixing: MixingMatrix, beta: float | None = None) -> RestrictedConstants:
+def restricted_monotonicity(
+    constants, mixing: MixingMatrix, beta: float | None = None, alpha: float | None = None
+) -> RestrictedConstants:
     """Pick a uniform scaling that makes ``F_a`` restricted strongly monotone.
 
     By default ``beta`` is the positive root of
@@ -210,9 +218,9 @@ def restricted_monotonicity(constants, mixing: MixingMatrix, beta: float | None 
         alpha = lambda_min_nz(I - W) / (2 * L_F * (1 + 1/beta**2))
 
     makes the second branch equal ``alpha*L_F > 0``, so the resulting
-    constant is always strictly positive. A custom ``beta > 0`` may be
-    supplied instead; the constant is recomputed accordingly (and validated
-    to be positive).
+    constant is always strictly positive. A custom ``beta > 0`` or a custom
+    uniform ``alpha`` may be supplied instead; the constant is recomputed
+    accordingly (and validated to be positive).
     """
     if constants.mu_r <= 0:
         raise ValueError("restricted path needs a positive restricted constant mu_r")
@@ -223,10 +231,12 @@ def restricted_monotonicity(constants, mixing: MixingMatrix, beta: float | None 
         beta = _balanced_beta(constants)
     elif beta <= 0:
         raise ValueError("beta must be positive")
-    alpha = mixing.lambda_min_nz_IW / (2 * L_F * (1.0 + 1.0 / beta**2))
+    culprit = f"beta={beta}" if alpha is None else f"alpha={alpha}"
+    if alpha is None:
+        alpha = mixing.lambda_min_nz_IW / (2 * L_F * (1.0 + 1.0 / beta**2))
     mu_r_Fa = restricted_constants_at(constants, mixing, alpha, beta)
     if mu_r_Fa <= 0:
-        raise ValueError(f"restricted constant nonpositive for beta={beta}")
+        raise ValueError(f"{culprit} makes the restricted constant nonpositive")
     return RestrictedConstants(alpha=float(alpha), mu_r_Fa=float(mu_r_Fa), beta=float(beta))
 
 
@@ -288,52 +298,27 @@ def make_augmented_config(
 
     ``path='lemma2'`` uses the strong-monotonicity constant (required by the
     accelerated solver); ``alpha`` must then be a positive scalar or list.
-    ``path='lemma3'`` uses the restricted constant; ``alpha='remark4'``
-    selects the automatic scaling described in :func:`restricted_monotonicity`
-    while a numeric ``alpha`` (uniform only) is validated against the same
-    formulas.
+    ``path='lemma3'`` uses the restricted constant of
+    :func:`restricted_monotonicity`; ``alpha='remark4'`` selects its
+    automatic scaling while a numeric ``alpha`` (uniform only) is validated
+    against the same formulas.
     """
     if path not in ("lemma2", "lemma3"):
-        raise ValueError(f"unknown monotonicity path {path!r}")
-    constants = game.constants
-    n = game.n
-
+        raise ValueError(f"path must be 'lemma2' or 'lemma3', got {path!r}")
+    if isinstance(alpha, str) and (alpha != "remark4" or path != "lemma3"):
+        raise ValueError(f"alpha must be numeric, or 'remark4' on the lemma3 path, got {alpha!r}")
+    constants, n = game.constants, game.n
+    rc = None
     if path == "lemma3":
-        if isinstance(alpha, str):
-            if alpha != "remark4":
-                raise ValueError(f"unknown alpha policy {alpha!r}")
-            rc = restricted_monotonicity(constants, mixing, beta=beta)
-        else:
-            alpha_arr = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-            if not np.all(alpha_arr == alpha_arr[0]):
-                raise ValueError("the restricted path requires a uniform alpha")
-            if beta is None:
-                beta = _balanced_beta(constants)
-            mu_r_Fa = restricted_constants_at(constants, mixing, float(alpha_arr[0]), beta)
-            if mu_r_Fa <= 0:
-                raise ValueError(
-                    "restricted constant nonpositive for the supplied alpha; "
-                    "use alpha='remark4'"
-                )
-            rc = RestrictedConstants(float(alpha_arr[0]), float(mu_r_Fa), float(beta))
-        alpha_vec = np.full(n, rc.alpha)
-        L_Fa = lipschitz_constant(constants, mixing, alpha_vec)
-        return AugmentedConfig(
-            alpha=alpha_vec,
-            L_Fa=L_Fa,
-            mu_Fa=strong_monotonicity_constant(constants, mixing, alpha_vec),
-            mu_r_Fa=rc.mu_r_Fa,
-            gamma=L_Fa / rc.mu_r_Fa,
-            path=path,
-            beta=rc.beta,
-        )
-
-    if isinstance(alpha, str):
-        raise ValueError("alpha='remark4' is only meaningful on the lemma3 path")
-    alpha_vec = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
+        given = None if isinstance(alpha, str) else _alpha_vector(alpha, n)
+        if given is not None and np.any(given != given[0]):
+            raise ValueError("alpha must be uniform on the restricted path")
+        rc = restricted_monotonicity(constants, mixing, beta, None if given is None else given[0])
+        alpha = rc.alpha
+    alpha_vec = _alpha_vector(alpha, n)
     L_Fa = lipschitz_constant(constants, mixing, alpha_vec)
     mu_Fa = strong_monotonicity_constant(constants, mixing, alpha_vec)
-    if mu_Fa is None:
+    if rc is None and mu_Fa is None:
         raise StrongMonotonicityUnavailableError(
             "the augmented mapping is not strongly monotone for this game and "
             "scaling; switch to the lemma3 path"
@@ -342,9 +327,10 @@ def make_augmented_config(
         alpha=alpha_vec,
         L_Fa=L_Fa,
         mu_Fa=mu_Fa,
-        mu_r_Fa=None,
-        gamma=L_Fa / mu_Fa,
+        mu_r_Fa=None if rc is None else rc.mu_r_Fa,
+        gamma=L_Fa / (mu_Fa if rc is None else rc.mu_r_Fa),
         path=path,
+        beta=None if rc is None else rc.beta,
     )
 
 
@@ -380,7 +366,7 @@ def condition_report(cfg: AugmentedConfig, constants, mixing: MixingMatrix) -> C
     gamma = cfg.gamma
     n = constants.L_other.size
     lam_min = mixing.lambda_min_nz_IW
-    lam_max = float(np.max(np.linalg.eigvalsh(np.eye(mixing.n) - mixing.W)))
+    lam_max = float(np.max(mixing.eigvals_IW))
     C = 16.0 * (n - 1) * lam_min / mu_F
     alpha_rec = C / 9.0
     H = float(constants.L_other.max())

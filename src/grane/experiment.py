@@ -26,9 +26,13 @@ Config layout (see the bundled files under ``grane/configs``)::
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from collections import namedtuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,6 @@ from .augmented import (
     condition_report,
     consensual_matrix,
     make_augmented_config,
-    strong_monotonicity_constant,
 )
 from .games import QuadraticGame, clamp, make_quadratic_game
 from .network import (
@@ -55,10 +58,12 @@ from .solvers import (
     acc_grane_run,
     centralized_gradient_play,
     grane_run,
+    reference_step,
 )
 
 __all__ = [
     "ConfigError",
+    "Experiment",
     "ValidationReport",
     "build_game",
     "build_graph",
@@ -66,6 +71,7 @@ __all__ = [
     "bundled_config",
     "constants_report",
     "load_config",
+    "load_experiment",
     "run_experiment",
     "validate_config",
 ]
@@ -74,6 +80,13 @@ OUTPUT_DIR_ENV = "GRANE_OUTPUT_DIR"
 
 _MIXINGS = ("lazy-laplacian", "metropolis")
 _THRESHOLDS = (1e-2, 1e-4, 1e-6)
+
+# the fields each config section accepts; the output fields map to their defaults
+_ROOT_FIELDS = ("comment", "game", "graph", "solvers", "reference", "output")
+_GRAPH_FIELDS = ("type", "seed", "edges", "mixing", "t")
+_QUADRATIC_FIELDS = ("type", *inspect.signature(make_quadratic_game).parameters)
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig))
+_OUTPUTS = {"trace": "trace_{name}.csv", "summary": "summary.json", "plot_data": "residuals.csv"}
 
 
 class ConfigError(ValueError):
@@ -108,47 +121,58 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _known(section, keys, where: str) -> dict:
+    """``section``, after checking that it is an object without unknown fields."""
+    if not isinstance(section, dict):
+        raise ConfigError(where, "expected an object")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}", "unknown field")
+    return section
+
+
+@contextmanager
+def _fields(where: str, keys=()):
+    """Re-raise a KeyError, ValueError or TypeError as a ConfigError at ``where.key`` when
+    its message starts with one of ``keys`` (as grane's messages about one argument do)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        key = re.match(r"\w*", str(exc)).group()
+        raise ConfigError(f"{where}.{key}" if key in keys else where, str(exc)) from exc
+
+
 def build_game(section: dict) -> QuadraticGame:
     kind = _require(section, "type", "game")
     if kind == "inline":
-        data = _require(section, "data", "game")
-        try:
+        data = _require(_known(section, ("type", "data"), "game"), "data", "game")
+        with _fields("game.data"):
             return QuadraticGame.from_json(data)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError("game.data", str(exc)) from exc
     if kind == "quadratic":
-        n = int(_require(section, "n", "game"))
-        seed = _require(section, "seed", "game")
-        try:
-            return make_quadratic_game(
-                n,
-                int(seed),
-                a_range=tuple(section.get("a_range", (1.0, 2.0))),
-                b_range=tuple(section.get("b_range", (-1.0, 1.0))),
-                c_range=tuple(section.get("c_range", (-0.01, 0.01))),
-                box_range=tuple(section.get("box_range", (5.0, 10.0))),
-                antisymmetric=bool(section.get("antisymmetric", True)),
-            )
-        except ValueError as exc:
-            raise ConfigError("game", str(exc)) from exc
+        params = {k: v for k, v in _known(section, _QUADRATIC_FIELDS, "game").items() if k != "type"}
+        with _fields("game", _QUADRATIC_FIELDS):
+            params["n"] = int(_require(section, "n", "game"))
+            params["seed"] = int(_require(section, "seed", "game"))
+            return make_quadratic_game(**params)
     raise ConfigError("game.type", f"unknown game type {kind!r}")
 
 
 def build_graph(section: dict, n: int) -> Graph:
-    kind = _require(section, "type", "graph")
-    if kind == "tree":
-        seed = _require(section, "seed", "graph")
-        return random_tree(n, int(seed))
-    if kind == "path":
-        return path_graph(n)
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "inline":
-        edges = _require(section, "edges", "graph")
-        graph = Graph(n, edges)
-        if not graph.is_connected():
-            raise ConfigError("graph.edges", "inline graph is not connected")
-        return graph
+    kind = _require(_known(section, _GRAPH_FIELDS, "graph"), "type", "graph")
+    with _fields("graph"):
+        if kind == "tree":
+            return random_tree(n, int(_require(section, "seed", "graph")))
+        if kind == "path":
+            return path_graph(n)
+        if kind == "complete":
+            return complete_graph(n)
+        if kind == "inline":
+            graph = Graph(n, _require(section, "edges", "graph"))
+            if not graph.is_connected():
+                raise ConfigError("graph.edges", "inline graph is not connected")
+            return graph
     raise ConfigError("graph.type", f"unknown graph type {kind!r}")
 
 
@@ -160,46 +184,52 @@ def build_mixing(section: dict, graph: Graph):
         if "t" in section:
             raise ConfigError("graph.t", "only meaningful for lazy-laplacian mixing")
         return mixing_metropolis(graph)
-    t = section.get("t")
-    try:
-        return mixing_from_laplacian(graph, t=None if t is None else float(t))
-    except ValueError as exc:
-        raise ConfigError("graph.t", str(exc)) from exc
+    with _fields("graph.t"):
+        return mixing_from_laplacian(graph, t=section.get("t"))
 
 
-def _solver_configs(config: dict) -> list[SolverConfig]:
+Experiment = namedtuple("Experiment", "game graph mixing reference solvers output")
+
+
+def load_experiment(path) -> Experiment:
+    """Parse a config file and build everything a run needs, without solving.
+
+    Anything a run would reject, an unknown field included (the root may
+    carry a ``comment``), raises a :class:`ConfigError` naming its field.
+    ``reference`` holds the keyword arguments of ``centralized_gradient_play``
+    with the step resolved; ``solvers`` pairs each entry's ``SolverConfig``
+    with its ``AugmentedConfig``, or with the
+    ``StrongMonotonicityUnavailableError`` when its path has no constant.
+    """
+    config = _known(load_config(path), _ROOT_FIELDS, "<root>")
+    game = build_game(_require(config, "game", "<root>"))
+    graph = build_graph(_require(config, "graph", "<root>"), game.n)
+    mixing = build_mixing(config["graph"], graph)
+
+    resolve = {"step": lambda step: reference_step(game, step), "max_iters": int, "tol": float}
+    section = _known(config.get("reference", {}), resolve, "reference")
+    with _fields("reference", resolve):
+        reference = {key: resolve[key](value) for key, value in {"step": "auto", **section}.items()}
+
     entries = _require(config, "solvers", "<root>")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("solvers", "expected a nonempty list")
-    out = []
-    names = set()
+    solvers = []
     for idx, entry in enumerate(entries):
         where = f"solvers[{idx}]"
-        algorithm = _require(entry, "algorithm", where)
-        alpha = entry.get("alpha", 1.0)
-        if algorithm == "acc-grane" and entry.get("step", "auto") != "auto":
-            raise ConfigError(
-                f"{where}.step", "acc-grane takes its steps 1/mu and 1/L from the constants"
-            )
-        try:
-            sc = SolverConfig(
-                algorithm=algorithm,
-                step=entry.get("step", "auto"),
-                max_iters=int(entry.get("max_iters", 1000)),
-                stop_tol=float(entry.get("stop_tol", 0.0)),
-                alpha=alpha,
-                path=entry.get("path", "lemma2"),
-                beta=entry.get("beta"),
-                trace_stride=int(entry.get("trace_stride", 1)),
-                name=entry.get("name", f"{algorithm}-{idx}"),
-            )
-        except ValueError as exc:
-            raise ConfigError(where, str(exc)) from exc
-        if sc.name in names:
+        algorithm = _require(_known(entry, _SOLVER_FIELDS, where), "algorithm", where)
+        with _fields(where, _SOLVER_FIELDS):
+            sc = SolverConfig(**{"name": f"{algorithm}-{idx}", **entry})
+            try:
+                cfg = make_augmented_config(game, mixing, sc.alpha, sc.path, sc.beta)
+            except StrongMonotonicityUnavailableError as exc:
+                cfg = exc
+        if any(sc.name == other.name for other, _ in solvers):
             raise ConfigError(f"{where}.name", f"duplicate solver name {sc.name!r}")
-        names.add(sc.name)
-        out.append(sc)
-    return out
+        solvers.append((sc, cfg))
+
+    output = {**_OUTPUTS, **_known(config.get("output", {}), _OUTPUTS, "output")}
+    return Experiment(game, graph, mixing, reference, solvers, output)
 
 
 @dataclass
@@ -215,74 +245,44 @@ class ValidationReport:
 
 
 def validate_config(path) -> ValidationReport:
-    """Schema-check a config and precompute solver-path applicability.
+    """Run every check ``run`` makes, without solving.
 
-    Fatal problems (missing fields, unknown enum values, unbuildable game or
-    graph) land in ``issues``; semantic findings, such as a requested
+    Fatal problems (any :class:`ConfigError` of :func:`load_experiment`)
+    land in ``issues``; semantic findings, such as a requested
     strong-monotonicity path whose constant does not exist or a mixing
     matrix failing its structural checks, land in ``warnings``.
     """
     report = ValidationReport()
     try:
-        config = load_config(path)
-        game = build_game(_require(config, "game", "<root>"))
-        graph = build_graph(_require(config, "graph", "<root>"), game.n)
-        mixing = build_mixing(config["graph"], graph)
-        solvers = _solver_configs(config)
+        exp = load_experiment(path)
     except ConfigError as exc:
         report.issues.append(str(exc))
         return report
 
-    mix_check = validate_mixing(mixing)
+    mix_check = validate_mixing(exp.mixing)
     if not mix_check.passed:
         report.warnings.append(f"mixing matrix failed checks: {mix_check.failures}")
 
-    for sc in solvers:
-        if sc.path == "lemma2":
-            alpha = 1.0 if isinstance(sc.alpha, str) else sc.alpha
-            mu = strong_monotonicity_constant(game.constants, mixing, alpha)
-            if mu is None:
-                report.warnings.append(
-                    f"solver {sc.name!r}: mu_Fa undefined for this game and alpha; "
-                    "use the lemma3 path"
-                )
+    for sc, cfg in exp.solvers:
+        if isinstance(cfg, StrongMonotonicityUnavailableError):
+            report.warnings.append(f"solver {sc.name!r}: mu_Fa undefined: {cfg}")
     return report
-
-
-def _augmented_for(game, mixing, sc: SolverConfig):
-    return make_augmented_config(game, mixing, alpha=sc.alpha, path=sc.path, beta=sc.beta)
-
-
-def _reference_equilibrium(game, section: dict):
-    x_star = centralized_gradient_play(
-        game,
-        step=section.get("step", "auto"),
-        max_iters=int(section.get("max_iters", 20000)),
-        tol=float(section.get("tol", 1e-12)),
-    )
-    return x_star, consensual_matrix(x_star)
 
 
 def constants_report(path) -> dict:
     """Computed constants and condition-number report, without solving."""
-    config = load_config(path)
-    game = build_game(_require(config, "game", "<root>"))
-    graph = build_graph(_require(config, "graph", "<root>"), game.n)
-    mixing = build_mixing(config["graph"], graph)
+    exp = load_experiment(path)
+    game = exp.game
     out = {"game": {"n": game.n, "antisymmetric": game.antisymmetric}, "solvers": {}}
-    for sc in _solver_configs(config):
-        try:
-            cfg = _augmented_for(game, mixing, sc)
-        except (StrongMonotonicityUnavailableError, ValueError) as exc:
-            out["solvers"][sc.name] = {"error": str(exc)}
+    for sc, cfg in exp.solvers:
+        if isinstance(cfg, StrongMonotonicityUnavailableError):
+            out["solvers"][sc.name] = {"error": str(cfg)}
             continue
         entry = cfg.to_json()
         if game.constants.mu_F > 0:
-            cond = condition_report(cfg, game.constants, mixing)
-            entry["C"] = cond.C
-            entry["alpha_recommended"] = cond.alpha_recommended
-            entry["bound"] = cond.bound
-            entry["bound_holds"] = cond.bound_holds
+            cond = condition_report(cfg, game.constants, exp.mixing)
+            keys = ("C", "alpha_recommended", "bound", "bound_holds")
+            entry.update((key, getattr(cond, key)) for key in keys)
         out["solvers"][sc.name] = entry
     return out
 
@@ -291,24 +291,21 @@ def run_experiment(path, output_dir=None) -> dict:
     """Run every solver in the config and write traces, summary and plot data.
 
     ``output_dir`` defaults to the ``GRANE_OUTPUT_DIR`` environment variable
-    and then to the current directory. Returns the summary dict (also
-    written as JSON).
+    and then to the current directory. A solver entry without the constant
+    of its path stops the run before any solve. Returns the summary dict
+    (also written as JSON).
     """
-    config = load_config(path)
-    game = build_game(_require(config, "game", "<root>"))
-    graph = build_graph(_require(config, "graph", "<root>"), game.n)
-    mixing = build_mixing(config["graph"], graph)
-    solvers = _solver_configs(config)
-    reference_section = config.get("reference", {})
-    output_section = config.get("output", {})
+    exp = load_experiment(path)
+    game, mixing = exp.game, exp.mixing
+    for _, cfg in exp.solvers:
+        if isinstance(cfg, StrongMonotonicityUnavailableError):
+            raise cfg
 
     out_dir = Path(output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_pattern = output_section.get("trace", "trace_{name}.csv")
-    summary_name = output_section.get("summary", "summary.json")
-    plot_name = output_section.get("plot_data", "residuals.csv")
 
-    x_star, X_star = _reference_equilibrium(game, reference_section)
+    x_star = centralized_gradient_play(game, **exp.reference)
+    X_star = consensual_matrix(x_star)
     fp_residual = float(
         np.linalg.norm(x_star - clamp(x_star - game.mapping(x_star), game.lo, game.hi))
     )
@@ -321,7 +318,7 @@ def run_experiment(path, output_dir=None) -> dict:
             "mu_r": game.constants.mu_r,
         },
         "network": {
-            "edges": len(graph.edges),
+            "edges": len(exp.graph.edges),
             "sigma_max_IW": mixing.sigma_max_IW,
             "lambda_min_nz_IW": mixing.lambda_min_nz_IW,
         },
@@ -333,35 +330,21 @@ def run_experiment(path, output_dir=None) -> dict:
     }
 
     plot_rows = []
-    for sc, entry in zip(solvers, config["solvers"]):
-        cfg = _augmented_for(game, mixing, sc)
-        if sc.algorithm == "grane":
-            _, trace = grane_run(game, mixing, cfg, sc, reference=X_star)
-        else:
-            _, trace = acc_grane_run(game, mixing, cfg, sc, reference=X_star)
-        trace.metadata["config_snapshot"] = {
-            "game": config["game"],
-            "graph": config["graph"],
-            "solver": entry,
-        }
-        trace.to_csv(out_dir / trace_pattern.format(name=sc.name))
+    for sc, cfg in exp.solvers:
+        run = grane_run if sc.algorithm == "grane" else acc_grane_run
+        _, trace = run(game, mixing, cfg, sc, reference=X_star)
+        trace.to_csv(out_dir / exp.output["trace"].format(name=sc.name))
 
         norm = trace.normalized_residuals()
         for rec in trace.records:
             plot_rows.append((sc.name, rec["k"], float(norm[rec["k"]])))
 
-        entry = {
+        constants = cfg.to_json()
+        summary["solvers"][sc.name] = {
             "algorithm": sc.algorithm,
-            "path": cfg.path,
-            "alpha": cfg.alpha.tolist(),
-            "beta": cfg.beta,
-            "step": trace.metadata.get("step", sc.step),
-            "constants": {
-                "L_Fa": cfg.L_Fa,
-                "mu_Fa": cfg.mu_Fa,
-                "mu_r_Fa": cfg.mu_r_Fa,
-                "gamma": cfg.gamma,
-            },
+            **{key: constants.pop(key) for key in ("path", "alpha", "beta")},
+            "step": trace.metadata["step"],
+            "constants": constants,
             "iterations_run": trace.metadata["iterations"],
             "final": trace.final_record(),
             "final_normalized_residual": float(norm[-1]),
@@ -369,14 +352,13 @@ def run_experiment(path, output_dir=None) -> dict:
                 f"{thr:.0e}": trace.iterations_to(thr) for thr in _THRESHOLDS
             },
         }
-        summary["solvers"][sc.name] = entry
 
-    with open(out_dir / plot_name, "w") as fh:
+    with open(out_dir / exp.output["plot_data"], "w") as fh:
         fh.write("solver,k,normalized_residual\n")
         for name, k, value in plot_rows:
             fh.write("%s,%d,%.17g\n" % (name, k, value))
 
-    with open(out_dir / summary_name, "w") as fh:
+    with open(out_dir / exp.output["summary"], "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

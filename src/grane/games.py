@@ -254,11 +254,11 @@ def make_quadratic_game(
     holds exactly.
     """
     if n < 2:
-        raise ValueError("need at least two players")
+        raise ValueError("n must be at least 2")
     for name, rng_ in (("a_range", a_range), ("b_range", b_range),
                        ("c_range", c_range), ("box_range", box_range)):
         if len(rng_) != 2 or rng_[0] > rng_[1]:
-            raise ValueError(f"empty {name}: {rng_}")
+            raise ValueError(f"{name} must be a pair (lo, hi) with lo <= hi, got {rng_}")
     if a_range[0] <= 0:
         raise ValueError("a_range must be strictly positive")
     if box_range[0] < 0:

@@ -138,6 +138,8 @@ class MixingMatrix:
     lambda_min_nz_IW : float
         Smallest nonzero eigenvalue of ``I - W`` (algebraic connectivity of
         the weighted graph, strictly positive for connected graphs).
+    eigvals_IW : ndarray
+        All eigenvalues of ``I - W``, ascending.
     """
 
     def __init__(self, W, graph: Graph):
@@ -149,7 +151,7 @@ class MixingMatrix:
         self.n = graph.n
         IW = np.eye(self.n) - W
         self.sigma_max_IW = float(np.linalg.svd(IW, compute_uv=False).max())
-        eigs = np.linalg.eigvalsh(IW)
+        eigs = self.eigvals_IW = np.linalg.eigvalsh(IW)
         nonzero = eigs[np.abs(eigs) > _NULL_TOL]
         self.lambda_min_nz_IW = float(nonzero.min()) if nonzero.size else 0.0
 
@@ -179,11 +181,11 @@ def mixing_from_laplacian(graph: Graph, t: float | None = None) -> MixingMatrix:
         raise ValueError("graph must be connected")
     L = graph.laplacian()
     max_deg = int(graph.degrees().max())
-    lam_max = float(np.linalg.eigvalsh(L).max())
     if t is None:
         t = 1.0 / (max_deg + 1)
     else:
         t = float(t)
+        lam_max = float(np.linalg.eigvalsh(L).max())
         if not 0 < t < 2.0 / lam_max:
             raise ValueError(f"t={t} outside (0, {2.0 / lam_max:.6g})")
         if t > 1.0 / max_deg:
@@ -241,7 +243,7 @@ def validate_mixing(m: MixingMatrix, tol: float = 1e-10) -> MixingValidation:
     col_err = float(np.abs(W.sum(axis=0) - 1.0).max())
     check(col_err <= tol, "column_sums", col_err)
 
-    eigs = np.linalg.eigvalsh(np.eye(n) - W)
+    eigs = m.eigvals_IW
     check(eigs.min() >= -tol, "positive_semidefinite", float(eigs.min()))
     check(eigs.max() <= 2.0 + tol, "spectrum_upper", float(eigs.max()))
     n_null = int(np.sum(np.abs(eigs) <= tol))

@@ -26,7 +26,6 @@ and export to CSV.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,7 @@ __all__ = [
     "acceleration_weights",
     "centralized_gradient_play",
     "grane_run",
+    "reference_step",
     "residual_metrics",
 ]
 
@@ -71,9 +71,9 @@ class SolverConfig:
 
     ``step='auto'`` resolves to ``mu / L**2`` with the constants of the
     selected path; ``acc-grane`` takes its two steps from the constants and
-    ignores ``step``. ``alpha`` is a uniform value, an explicit per-player
-    list, or ``'remark4'`` for the automatic restricted-path scaling;
-    ``beta`` optionally overrides the balance parameter of that scaling.
+    needs ``step='auto'`` and ``path='lemma2'``. ``alpha`` is a uniform
+    value, an explicit per-player list, or ``'remark4'`` for the automatic
+    restricted-path scaling; ``beta`` optionally overrides its balance parameter.
     ``stop_tol`` stops the run early once the iterate movement falls below
     it (0 disables). Full residual records are kept every ``trace_stride``
     iterations; the cheap distance-to-reference history is always dense.
@@ -90,15 +90,23 @@ class SolverConfig:
     name: str | None = None
 
     def __post_init__(self):
+        for name, cast in (("max_iters", int), ("stop_tol", float),
+                           ("trace_stride", int), ("beta", float)):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, None if value is None else cast(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
         if self.algorithm not in ("grane", "acc-grane"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm must be 'grane' or 'acc-grane', got {self.algorithm!r}")
         if self.path not in ("lemma2", "lemma3"):
-            raise ValueError(f"unknown monotonicity path {self.path!r}")
-        if isinstance(self.step, str):
-            if self.step != "auto":
-                raise ValueError(f"step must be positive or 'auto', got {self.step!r}")
-        elif self.step <= 0:
-            raise ValueError("explicit step must be positive")
+            raise ValueError(f"path must be 'lemma2' or 'lemma3', got {self.path!r}")
+        if self.algorithm == "acc-grane" and self.step != "auto":
+            raise ValueError("step must be 'auto' for acc-grane, which steps by 1/mu and 1/L")
+        if self.algorithm == "acc-grane" and self.path != "lemma2":
+            raise ValueError("path must be 'lemma2' for acc-grane, which needs mu_Fa")
+        if self.step != "auto" and (isinstance(self.step, str) or not self.step > 0):
+            raise ValueError(f"step must be positive or 'auto', got {self.step!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.stop_tol < 0:
@@ -282,14 +290,9 @@ def grane_run(
     def step(X):
         return clamp_diagonal(X - lam * augmented_mapping(game, mixing, alpha, X), lo, hi)
 
-    trace = ConvergenceTrace(
-        stride=sc.trace_stride,
-        metadata={"algorithm": "grane", "step": lam, "path": cfg.path},
-    )
-    t0 = time.perf_counter()
+    trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": lam})
     observe = _observer(trace, game, mixing, alpha, reference, X)
     X, k = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
-    trace.metadata["wall_time"] = time.perf_counter() - t0
     trace.metadata["iterations"] = k
     return X, trace
 
@@ -340,15 +343,8 @@ def acc_grane_run(
 
     trace = ConvergenceTrace(
         stride=sc.trace_stride,
-        metadata={
-            "algorithm": "acc-grane",
-            "gamma": gamma,
-            "path": cfg.path,
-            "step": {"averaging": 1.0 / mu, "gradient": 1.0 / L},
-        },
+        metadata={"step": {"averaging": 1.0 / mu, "gradient": 1.0 / L}},
     )
-    t0 = time.perf_counter()
-
     A = np.zeros_like(Y)  # sum of lam_t * Y_t
     B = np.zeros_like(Y)  # sum of lam_t * (Y_t - F_a(Y_t)/mu)
     S = 0.0
@@ -374,9 +370,23 @@ def acc_grane_run(
     observe = _observer(trace, game, mixing, alpha, reference, Y)
     y_tilde = step(None)  # iteration 0; its average is the start itself
     y_tilde, k = _iterate(step, y_tilde, sc.max_iters - 1, sc.stop_tol, observe)
-    trace.metadata["wall_time"] = time.perf_counter() - t0
     trace.metadata["iterations"] = k + 1
     return y_tilde, trace
+
+
+def reference_step(game: Game, step) -> float:
+    """The step of :func:`centralized_gradient_play`: ``step`` itself when
+    positive, or for ``'auto'`` ``mu_F / (sqrt(n) * max_i L_(i))**2``, a
+    conservative bound on the mapping's Lipschitz constant; needs ``mu_F > 0``."""
+    if step == "auto":
+        constants = game.constants
+        if constants.mu_F <= 0:
+            raise ValueError("step 'auto' needs mu_F > 0; supply an explicit step")
+        L = np.sqrt(game.n) * constants.mapping_lipschitz
+        return constants.mu_F / L**2
+    if not isinstance(step, (int, float)) or step <= 0:
+        raise ValueError(f"step must be positive or 'auto', got {step!r}")
+    return step
 
 
 def centralized_gradient_play(
@@ -389,21 +399,11 @@ def centralized_gradient_play(
     """Projected gradient play ``x <- P(x - step * F(x))`` on the joint
     action space.
 
-    Serves as the ground-truth oracle for the distributed runs. The
-    automatic step is ``mu_F / (sqrt(n) * max_i L_(i))**2``, a conservative
-    bound on the mapping's Lipschitz constant; it requires ``mu_F > 0``.
-    Stops when the iterate moves by at most ``tol`` (0 runs all
-    ``max_iters``).
+    Serves as the ground-truth oracle for the distributed runs; ``step`` is
+    resolved by :func:`reference_step`. Stops when the iterate moves by at
+    most ``tol`` (0 runs all ``max_iters``).
     """
-    constants = game.constants
-    if step == "auto":
-        if constants.mu_F <= 0:
-            raise ValueError("auto step needs mu_F > 0; supply an explicit step")
-        L = np.sqrt(game.n) * constants.mapping_lipschitz
-        step = constants.mu_F / L**2
-    elif not isinstance(step, (int, float)) or step <= 0:
-        raise ValueError("step must be positive or 'auto'")
-
+    step = reference_step(game, step)
     lo, hi = game.lo, game.hi
     x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
     x, _ = _iterate(

@@ -26,9 +26,8 @@ from grane import (
     project_estimates,
     random_tree,
     validate_mixing,
-    SolverConfig,
 )
-from grane.experiment import build_game, build_graph, build_mixing, load_config
+from grane.experiment import load_experiment
 
 
 def _report(criterion, ok, detail):
@@ -37,34 +36,10 @@ def _report(criterion, ok, detail):
 
 
 def _load(name):
-    config = load_config(bundled_config(name))
-    game = build_game(config["game"])
-    graph = build_graph(config["graph"], game.n)
-    mixing = build_mixing(config["graph"], graph)
-    return config, game, mixing
-
-
-def _solver_config(entry):
-    return SolverConfig(
-        algorithm=entry["algorithm"],
-        step=entry.get("step", "auto"),
-        max_iters=int(entry["max_iters"]),
-        stop_tol=float(entry.get("stop_tol", 0.0)),
-        alpha=entry.get("alpha", 1.0),
-        path=entry.get("path", "lemma2"),
-        trace_stride=int(entry.get("trace_stride", 1)),
-        name=entry.get("name"),
-    )
-
-
-def _reference(game, section):
-    x_star = centralized_gradient_play(
-        game,
-        step=section.get("step", "auto"),
-        max_iters=int(section.get("max_iters", 20000)),
-        tol=float(section.get("tol", 1e-12)),
-    )
-    return x_star, consensual_matrix(x_star)
+    """A bundled config through the loader the CLI uses, and its reference."""
+    exp = load_experiment(bundled_config(name))
+    x_star = centralized_gradient_play(exp.game, **exp.reference)
+    return exp, x_star, consensual_matrix(x_star)
 
 
 def _slope_of_log_squared(normalized, floor=1e-10):
@@ -82,11 +57,9 @@ def _slope_of_log_squared(normalized, floor=1e-10):
 
 @pytest.fixture(scope="module")
 def g2_run():
-    config, game, mixing = _load("g2.json")
-    x_star, X_star = _reference(game, config["reference"])
-    entry = next(e for e in config["solvers"] if e["name"] == "grane")
-    sc = _solver_config(entry)
-    cfg = make_augmented_config(game, mixing, alpha=sc.alpha, path=sc.path)
+    exp, x_star, X_star = _load("g2.json")
+    game, mixing = exp.game, exp.mixing
+    sc, cfg = next((sc, cfg) for sc, cfg in exp.solvers if sc.name == "grane")
     t0 = time.perf_counter()
     X, trace = grane_run(game, mixing, cfg, sc, reference=X_star)
     elapsed = time.perf_counter() - t0
@@ -96,12 +69,10 @@ def g2_run():
 
 @pytest.fixture(scope="module")
 def accel_runs():
-    config, game, mixing = _load("accel.json")
-    x_star, X_star = _reference(game, config["reference"])
+    exp, x_star, X_star = _load("accel.json")
+    game, mixing = exp.game, exp.mixing
     out = dict(game=game, mixing=mixing, X_star=X_star)
-    for entry in config["solvers"]:
-        sc = _solver_config(entry)
-        cfg = make_augmented_config(game, mixing, alpha=sc.alpha, path=sc.path)
+    for sc, cfg in exp.solvers:
         runner = grane_run if sc.algorithm == "grane" else acc_grane_run
         _, trace = runner(game, mixing, cfg, sc, reference=X_star)
         out[sc.name] = trace
@@ -111,11 +82,9 @@ def accel_runs():
 
 @pytest.fixture(scope="module")
 def g2r_run():
-    config, game, mixing = _load("g2r.json")
-    x_star, X_star = _reference(game, config["reference"])
-    entry = config["solvers"][0]
-    sc = _solver_config(entry)
-    cfg = make_augmented_config(game, mixing, alpha=sc.alpha, path=sc.path)
+    exp, x_star, X_star = _load("g2r.json")
+    game, mixing = exp.game, exp.mixing
+    sc, cfg = exp.solvers[0]
     t0 = time.perf_counter()
     X, trace = grane_run(game, mixing, cfg, sc, reference=X_star)
     elapsed = time.perf_counter() - t0
@@ -125,13 +94,11 @@ def g2r_run():
 
 @pytest.fixture(scope="module")
 def benchmark20_runs():
-    config, game, mixing = _load("paper_sec5.json")
-    x_star, X_star = _reference(game, config["reference"])
+    exp, x_star, X_star = _load("paper_sec5.json")
+    game, mixing = exp.game, exp.mixing
     out = dict(game=game, mixing=mixing, x_star=x_star, X_star=X_star)
     t0 = time.perf_counter()
-    for entry in config["solvers"]:
-        sc = _solver_config(entry)
-        cfg = make_augmented_config(game, mixing, alpha=sc.alpha, path=sc.path)
+    for sc, cfg in exp.solvers:
         runner = grane_run if sc.algorithm == "grane" else acc_grane_run
         _, trace = runner(game, mixing, cfg, sc, reference=X_star)
         out[sc.name] = trace

@@ -243,6 +243,17 @@ def test_restricted_certificate_sampling(g2r, w2):
         assert lhs >= rc.mu_r_Fa * np.linalg.norm(X - X_star) ** 2 - 1e-9
 
 
+def test_restricted_explicit_alpha_matches_formula(g2r, w2):
+    auto = restricted_monotonicity(g2r.constants, w2)
+    same = restricted_monotonicity(g2r.constants, w2, alpha=auto.alpha)
+    assert same == auto
+    half = restricted_monotonicity(g2r.constants, w2, alpha=auto.alpha / 2)
+    direct = restricted_constants_at(g2r.constants, w2, auto.alpha / 2, auto.beta)
+    assert (half.alpha, half.mu_r_Fa, half.beta) == (auto.alpha / 2, direct, auto.beta)
+    with pytest.raises(ValueError, match="^alpha=10"):
+        restricted_monotonicity(g2r.constants, w2, alpha=10.0)
+
+
 def test_restricted_rejects_nonpositive_inputs(w2):
     game = QuadraticGame([1.0, 1.0], [0, 0], [[0.0, 4.0], [0.0, 0.0]],
                          [BoxSet(-1, 1)] * 2)  # mu_r = 0
@@ -294,6 +305,8 @@ def test_make_config_rejects_bad_combinations(g2, g2r, w2):
         make_augmented_config(g2r, w2, alpha=[1.0, 2.0], path="lemma3")
     with pytest.raises(ValueError):
         make_augmented_config(g2, w2, alpha=1.0, path="lemma1")
+    with pytest.raises(ValueError, match="^alpha must be a number or a list of 2"):
+        make_augmented_config(g2, w2, alpha=[1.0, 1.0, 1.0], path="lemma2")
     # an explicit alpha far too large for the restricted formulas
     with pytest.raises(ValueError):
         make_augmented_config(g2r, w2, alpha=10.0, path="lemma3")

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grane import (
+    StrongMonotonicityUnavailableError,
     bundled_config,
     constants_report,
     make_augmented_config,
@@ -18,7 +19,15 @@ from grane.cli import (
     EXIT_OK,
     main,
 )
-from grane.experiment import ConfigError, build_game, build_graph, build_mixing, load_config
+from grane.experiment import (
+    ConfigError,
+    build_game,
+    build_graph,
+    build_mixing,
+    load_config,
+    load_experiment,
+)
+from grane.solvers import reference_step
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -121,6 +130,81 @@ def test_solver_entry_validation(tmp_path):
                          {"algorithm": "grane", "name": "a"}]
     report = validate_config(write_config(tmp_path, config))
     assert any("duplicate" in issue for issue in report.issues)
+
+
+def _solver0(**fields):
+    return lambda config: config["solvers"][0].update(fields)
+
+
+# (field the error must name, edit of g2.json): validate, run and constants
+# must each reject the edited config, naming that field
+MALFORMED = [
+    ("solvers[0].alpha", _solver0(alpha="remark4")),
+    ("solvers[0].alpha", _solver0(alpha=100, path="lemma3")),
+    ("solvers[0].alpha", _solver0(alpha=[1.0, 1.0, 1.0])),
+    ("solvers[0].beta", _solver0(alpha="remark4", path="lemma3", beta="x")),
+    ("solvers[0].beta", _solver0(beta="x")),
+    ("solvers[1].path", lambda config: config["solvers"][1].update(path="lemma3")),
+    ("reference.step", lambda config: config["reference"].update(step="fast")),
+    ("solvers[0].max_iter", _solver0(max_iter=10)),
+    ("solvers[0].trace_strid", _solver0(trace_strid=10)),
+    ("reference.tolerance", lambda config: config["reference"].update(tolerance=1e-3)),
+    ("graph.mixng", lambda config: config["graph"].update(mixng="metropolis")),
+    ("game.a_rnge", lambda config: config.update(
+        game={"type": "quadratic", "n": 3, "seed": 1, "a_rnge": [1, 2]})),
+    ("output.sumary", lambda config: config["output"].update(sumary="s.json")),
+    ("<root>.refernce", lambda config: config.update(refernce={})),
+]
+
+
+@pytest.mark.parametrize("fieldname, edit", MALFORMED, ids=[f for f, _ in MALFORMED])
+def test_malformed_config_rejected_everywhere(tmp_path, capsys, fieldname, edit):
+    config = g2_config_dict()
+    edit(config)
+    path = write_config(tmp_path, config)
+    report = validate_config(path)
+    assert [issue.split(": ")[0] for issue in report.issues] == [fieldname]
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
+    assert main(["constants", str(path)]) == EXIT_CONFIG
+    assert f"invalid config: {fieldname}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_comment_allowed_only_at_root(tmp_path):
+    config = g2_config_dict()
+    config["comment"] = "a note"
+    assert validate_config(write_config(tmp_path, config)).ok
+    config["graph"]["comment"] = "a note"
+    report = validate_config(write_config(tmp_path, config))
+    assert report.issues == ["graph.comment: unknown field"]
+
+
+def test_load_experiment_pairs_and_defaults(tmp_path):
+    config = load_config(bundled_config("g2r.json"))
+    config["solvers"] = [{"algorithm": "grane", "path": "lemma2", "max_iters": 1e3},
+                         {"algorithm": "grane", "alpha": "remark4", "path": "lemma3"}]
+    del config["reference"], config["output"]
+    exp = load_experiment(write_config(tmp_path, config))
+    (sc0, err), (sc1, cfg) = exp.solvers
+    assert isinstance(err, StrongMonotonicityUnavailableError)
+    assert (sc0.name, sc0.max_iters, sc0.trace_stride) == ("grane-0", 1000, 1)
+    assert cfg.path == "lemma3" and cfg.mu_r_Fa > 0
+    assert sc1.name == "grane-1" and sc1.max_iters == 1000
+    # the reference takes centralized_gradient_play's defaults, the step resolved
+    assert exp.reference == {"step": reference_step(exp.game, "auto")}
+    assert exp.output == {"trace": "trace_{name}.csv", "summary": "summary.json",
+                          "plot_data": "residuals.csv"}
+
+
+def test_cli_exit_4_stops_before_any_solve(tmp_path):
+    config = load_config(bundled_config("g2r.json"))
+    config["solvers"][0]["max_iters"] = 10
+    config["solvers"].append({"name": "bad", "algorithm": "grane", "alpha": 1.0,
+                              "path": "lemma2", "max_iters": 10})
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_NO_STRONG_MONO
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

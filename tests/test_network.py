@@ -158,6 +158,14 @@ def test_spectral_invariants():
             assert abs(m.lambda_min_nz_IW - np.sort(eigs)[1]) <= 1e-10
 
 
+def test_spectrum_computed_once_and_reused():
+    m = mixing_from_laplacian(random_tree(9, 3))
+    assert np.array_equal(m.eigvals_IW, np.linalg.eigvalsh(np.eye(m.n) - m.W))
+    # validate_mixing reads the stored spectrum rather than recomputing it
+    m.eigvals_IW = m.eigvals_IW + 5.0
+    assert "spectrum_upper" in validate_mixing(m).failures
+
+
 def test_mixing_json():
     m = mixing_from_laplacian(path_graph(3))
     data = m.to_json()

@@ -330,6 +330,23 @@ def test_trace_iterations_to(g2_setup):
     assert trace.iterations_to(1e-30) is None
 
 
+def test_acc_grane_config_takes_steps_from_constants():
+    with pytest.raises(ValueError, match="^step"):
+        SolverConfig(algorithm="acc-grane", step=0.1)
+    with pytest.raises(ValueError, match="^path"):
+        SolverConfig(algorithm="acc-grane", path="lemma3")
+    assert SolverConfig(algorithm="grane", step=0.1).step == 0.1
+
+
+def test_solver_config_coerces_numbers():
+    sc = SolverConfig(max_iters=1e6, stop_tol=0, trace_stride=10.0, beta=1)
+    assert (sc.max_iters, sc.stop_tol, sc.trace_stride, sc.beta) == (1000000, 0.0, 10, 1.0)
+    assert type(sc.max_iters) is int and type(sc.stop_tol) is float
+    for name in ("max_iters", "stop_tol", "trace_stride", "beta"):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            SolverConfig(**{name: "x"})
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="sgd")
