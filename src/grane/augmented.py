@@ -78,23 +78,37 @@ def consensual_part(X) -> np.ndarray:
     return consensual_matrix(X.mean(axis=0))
 
 
-# consensus_gap's row-difference temporary holds at most this many floats
-_GAP_BLOCK = 1 << 20
+# consensus_gap's row-difference buffer holds about this many floats
+_GAP_BLOCK = 1 << 16
 
 
 def consensus_gap(X) -> float:
     """Largest Euclidean distance between any two rows of ``X``.
 
-    The row differences are formed for blocks of rows against all rows, so
-    the temporary stays near ``_GAP_BLOCK`` floats instead of ``n**3``.
+    A block of rows is compared only with the rows from the block's first
+    row on, a slab of them at a time, so each unordered pair is formed once.
+    The differences are squared in one buffer of about ``_GAP_BLOCK`` floats,
+    allocated once per call. Each pair's squared distance is summed along
+    its row, and the one square root is taken of the largest: ``sqrt`` is
+    monotone and correctly rounded, so that is the largest root bit for bit.
+    A NaN entry gives NaN.
     """
     X = np.asarray(X, dtype=float)
-    rows = max(1, _GAP_BLOCK // X.size)
+    n, m = X.shape
+    rows = min(n, max(1, _GAP_BLOCK // X.size))
+    slab = min(n, max(1, _GAP_BLOCK // (rows * m)))
+    buf = np.empty(rows * slab * m)
     gap = 0.0
-    for i in range(0, X.shape[0], rows):
-        diff = X[i : i + rows, None, :] - X[None, :, :]
-        gap = np.maximum(gap, np.sqrt((diff**2).sum(axis=2)).max())
-    return float(gap)
+    for i in range(0, n, rows):
+        block = X[i : i + rows, None, :]
+        for j in range(i, n, slab):
+            other = X[None, j : j + slab, :]
+            b, c = block.shape[0], other.shape[1]
+            diff = buf[: b * c * m].reshape(b, c, m)
+            np.subtract(block, other, out=diff)
+            np.square(diff, out=diff)
+            gap = np.maximum(gap, diff.sum(axis=2).max())
+    return float(np.sqrt(gap))
 
 
 def clamp_diagonal(X: np.ndarray, lo, hi) -> np.ndarray:
@@ -134,7 +148,10 @@ def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
 def _alpha_vector(alpha, n: int) -> np.ndarray:
     if np.ndim(alpha) > 1 or np.size(alpha) not in (1, n):
         raise ValueError(f"alpha must be a number or a list of {n} numbers, got {alpha!r}")
-    return np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
+    vec = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
+    if not np.all(vec > 0):
+        raise ValueError(f"alpha entries must be strictly positive, got {alpha!r}")
+    return vec
 
 
 def lipschitz_constant(constants, mixing: MixingMatrix, alpha) -> float:
@@ -290,7 +307,7 @@ class AugmentedConfig:
 def make_augmented_config(
     game: Game,
     mixing: MixingMatrix,
-    alpha="remark4",
+    alpha=1.0,
     path: str = "lemma2",
     beta: float | None = None,
 ) -> AugmentedConfig:

@@ -195,7 +195,9 @@ def load_experiment(path) -> Experiment:
     """Parse a config file and build everything a run needs, without solving.
 
     Anything a run would reject, an unknown field included (the root may
-    carry a ``comment``), raises a :class:`ConfigError` naming its field.
+    carry a ``comment``), raises a :class:`ConfigError` naming its field; so
+    does an output trace pattern that fails to format with a solver name or
+    sends two outputs to one file.
     ``reference`` holds the keyword arguments of ``centralized_gradient_play``
     with the step resolved; ``solvers`` pairs each entry's ``SolverConfig``
     with its ``AugmentedConfig``, or with the
@@ -229,6 +231,19 @@ def load_experiment(path) -> Experiment:
         solvers.append((sc, cfg))
 
     output = {**_OUTPUTS, **_known(config.get("output", {}), _OUTPUTS, "output")}
+    for key, value in output.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"output.{key}", f"expected a file name, got {value!r}")
+    pattern = output["trace"]
+    try:
+        traces = [pattern.format(name=sc.name) for sc, _ in solvers]
+    except (AttributeError, IndexError, KeyError, ValueError) as exc:
+        raise ConfigError("output.trace", f"bad pattern {pattern!r}: {exc!r}") from exc
+    files = {output["summary"]}
+    for key, file in [("plot_data", output["plot_data"]), *(("trace", t) for t in traces)]:
+        if file in files:
+            raise ConfigError(f"output.{key}", f"two outputs would be written to {file!r}")
+        files.add(file)
     return Experiment(game, graph, mixing, reference, solvers, output)
 
 

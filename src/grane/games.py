@@ -182,7 +182,7 @@ class QuadraticGame(Game):
 
     def mapping(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite joint point")
         return self._M @ x + self.b
 

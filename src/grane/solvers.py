@@ -202,6 +202,7 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(step, x, max_iters: int, stop_tol: float, observe):
     """Iterate ``x <- step(x)``; returns the last iterate and the step count.
 
@@ -211,6 +212,8 @@ def _iterate(step, x, max_iters: int, stop_tol: float, observe):
     disables). It raises :class:`DivergenceError` when a move is not finite,
     or when a move exceeds both ``_GUARD_FACTOR`` times the move
     ``_GUARD_WINDOW`` steps earlier and 1e-8 times the first nonzero move.
+    Overflow is reported by that error alone: numpy's warnings about it are
+    silenced for the whole run.
     """
     observe(0, x, max_iters == 0)
     window = [0.0] * _GUARD_WINDOW  # the last moves, by k % _GUARD_WINDOW

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -310,6 +312,16 @@ def test_make_config_rejects_bad_combinations(g2, g2r, w2):
     # an explicit alpha far too large for the restricted formulas
     with pytest.raises(ValueError):
         make_augmented_config(g2r, w2, alpha=10.0, path="lemma3")
+    # a nonpositive entry is rejected as such on both paths, not as a missing constant
+    for alpha in (-1.0, 0.0, [1.0, -1.0], float("nan")):
+        for game, path in ((g2, "lemma2"), (g2r, "lemma3")):
+            with pytest.raises(ValueError, match="^alpha entries must be strictly positive"):
+                make_augmented_config(game, w2, alpha=alpha, path=path)
+
+
+def test_make_config_defaults_to_unit_alpha_on_lemma2(g2, w2):
+    cfg = make_augmented_config(g2, w2)
+    assert cfg.to_json() == make_augmented_config(g2, w2, alpha=1.0, path="lemma2").to_json()
 
 
 def test_make_config_lemma3_explicit_alpha(g2r, w2):
@@ -423,3 +435,55 @@ def test_consensus_gap_matches_pairwise_loop(monkeypatch):
             monkeypatch.setattr(augmented, "_GAP_BLOCK", block)
             assert consensus_gap(X) == whole
         monkeypatch.undo()
+
+
+def _gap_by_pairs(X):
+    """The largest row distance, one unordered pair of rows at a time."""
+    n = X.shape[0]
+    return max(
+        float(np.sqrt(np.sum((X[i] - X[j]) ** 2))) for i in range(n) for j in range(i + 1, n)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 100, 300])
+def test_consensus_gap_equals_pairwise_loop_bit_for_bit(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    sign = rng.choice([-1.0, 1.0], size=(n, n))
+    inputs = {
+        "random": rng.standard_normal((n, n)),
+        "nearly consensual": consensual_matrix(rng.standard_normal(n))
+        + 1e-12 * rng.standard_normal((n, n)),
+        # squares of most entries are subnormal or underflow to zero
+        "subnormal-laden": sign * 10.0 ** rng.uniform(-280, -23, size=(n, n)),
+    }
+    for kind, X in inputs.items():
+        loop = _gap_by_pairs(X)
+        assert consensus_gap(X) == loop, kind
+        # one pair at a time, slabs of 7 rows, blocks of 7 rows: uneven splits
+        for block in (1, 7 * n, 7 * n * n):
+            monkeypatch.setattr(augmented, "_GAP_BLOCK", block)
+            assert consensus_gap(X) == loop, (kind, block)
+        monkeypatch.undo()
+
+
+def test_consensus_gap_propagates_nan(monkeypatch):
+    X = np.random.default_rng(5).standard_normal((30, 30))
+    for block in (augmented._GAP_BLOCK, 1, 7 * 30):
+        monkeypatch.setattr(augmented, "_GAP_BLOCK", block)
+        for i, j in ((0, 0), (13, 4), (29, 29)):
+            Y = X.copy()
+            Y[i, j] = np.nan
+            assert np.isnan(consensus_gap(Y)), (block, i, j)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_consensus_gap_memory_is_bounded(n):
+    X = np.random.default_rng(n).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        consensus_gap(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n input is allocated before tracing starts
+    assert peak < 1 << 20

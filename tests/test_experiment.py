@@ -154,6 +154,14 @@ MALFORMED = [
         game={"type": "quadratic", "n": 3, "seed": 1, "a_rnge": [1, 2]})),
     ("output.sumary", lambda config: config["output"].update(sumary="s.json")),
     ("<root>.refernce", lambda config: config.update(refernce={})),
+    ("solvers[0].alpha", _solver0(alpha=-1.0)),
+    ("solvers[0].alpha", _solver0(alpha=-1.0, path="lemma3")),
+    ("output.trace", lambda config: config["output"].update(trace="t_{nme}.csv")),
+    ("output.trace", lambda config: config["output"].update(trace="t_{0}.csv")),
+    ("output.trace", lambda config: config["output"].update(trace="trace.csv")),
+    ("output.trace", lambda config: config["output"].update(trace="summary.json")),
+    ("output.plot_data", lambda config: config["output"].update(plot_data="summary.json")),
+    ("output.summary", lambda config: config["output"].update(summary=5)),
 ]
 
 
@@ -321,6 +329,7 @@ def test_cli_divergence_exit_3(tmp_path):
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == EXIT_DIVERGENCE
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_nonfinite_iterate_exit_3(tmp_path, capsys):
     config = g2_config_dict()
     config["solvers"][0]["step"] = 1e6

@@ -142,6 +142,7 @@ def test_grane_divergence_guard(g2_setup):
         grane_run(game, mixing, cfg, SolverConfig(step=5.0, max_iters=5000))
 
 
+@pytest.mark.filterwarnings("error")
 def test_grane_nonfinite_iterate_raises(g2_setup):
     # the iterates overflow well inside the 100-iteration growth window
     game, mixing, cfg, _ = g2_setup
