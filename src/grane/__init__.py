@@ -22,7 +22,6 @@ from .augmented import (
     augmented_mapping,
     condition_report,
     consensual_matrix,
-    consensual_part,
     consensus_gap,
     lipschitz_constant,
     make_augmented_config,
@@ -37,7 +36,6 @@ from .games import (
     GameConstants,
     QuadraticGame,
     make_quadratic_game,
-    project_box,
     quadratic_constants,
 )
 from .network import (
@@ -55,7 +53,6 @@ from .solvers import (
     DivergenceError,
     SolverConfig,
     acc_grane_run,
-    acceleration_weights,
     centralized_gradient_play,
     grane_run,
     residual_metrics,
@@ -86,14 +83,12 @@ __all__ = [
     "SolverConfig",
     "StrongMonotonicityUnavailableError",
     "acc_grane_run",
-    "acceleration_weights",
     "augmented_mapping",
     "bundled_config",
     "centralized_gradient_play",
     "complete_graph",
     "condition_report",
     "consensual_matrix",
-    "consensual_part",
     "consensus_gap",
     "constants_report",
     "grane_run",
@@ -104,7 +99,6 @@ __all__ = [
     "mixing_metropolis",
     "ne_certificate",
     "path_graph",
-    "project_box",
     "project_estimates",
     "quadratic_constants",
     "random_tree",

@@ -39,7 +39,6 @@ __all__ = [
     "clamp_diagonal",
     "condition_report",
     "consensual_matrix",
-    "consensual_part",
     "consensus_gap",
     "is_feasible_estimate",
     "lipschitz_constant",
@@ -66,16 +65,6 @@ def consensual_matrix(x) -> np.ndarray:
     """The consensual matrix whose every row equals ``x``."""
     x = np.asarray(x, dtype=float)
     return np.tile(x, (x.size, 1))
-
-
-def consensual_part(X) -> np.ndarray:
-    """Orthogonal projection of ``X`` onto the consensual subspace.
-
-    Replicates the column means into every row; the residual ``X - C`` has
-    zero column sums and is Frobenius-orthogonal to all consensual matrices.
-    """
-    X = np.asarray(X, dtype=float)
-    return consensual_matrix(X.mean(axis=0))
 
 
 # consensus_gap's row-difference buffer holds about this many floats
@@ -126,8 +115,10 @@ def project_estimates(boxes, X) -> np.ndarray:
 
 
 def is_feasible_estimate(boxes, X, tol: float = 0.0) -> bool:
-    X = np.asarray(X, dtype=float)
-    return all(b.contains(X[i, i], tol) for i, b in enumerate(boxes))
+    """Whether every diagonal entry ``X_ii`` lies in box ``i``, widened by ``tol``."""
+    lo, hi = box_bounds(boxes)
+    d = np.asarray(X, dtype=float).diagonal()
+    return bool(np.all((lo - tol <= d) & (d <= hi + tol)))
 
 
 def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:

@@ -188,6 +188,12 @@ def build_mixing(section: dict, graph: Graph):
         return mixing_from_laplacian(graph, t=section.get("t"))
 
 
+def _bare(name: str) -> bool:
+    """Whether ``name`` is a file name without a directory part, so that the
+    file lands directly in the output directory."""
+    return name not in ("", ".", "..") and os.path.basename(name) == name
+
+
 Experiment = namedtuple("Experiment", "game graph mixing reference solvers output")
 
 
@@ -197,7 +203,7 @@ def load_experiment(path) -> Experiment:
     Anything a run would reject, an unknown field included (the root may
     carry a ``comment``), raises a :class:`ConfigError` naming its field; so
     does an output trace pattern that fails to format with a solver name or
-    sends two outputs to one file.
+    sends two outputs to one file, and an output that is not a bare file name.
     ``reference`` holds the keyword arguments of ``centralized_gradient_play``
     with the step resolved; ``solvers`` pairs each entry's ``SolverConfig``
     with its ``AugmentedConfig``, or with the
@@ -234,11 +240,17 @@ def load_experiment(path) -> Experiment:
     for key, value in output.items():
         if not isinstance(value, str):
             raise ConfigError(f"output.{key}", f"expected a file name, got {value!r}")
+        if key != "trace" and not _bare(value):
+            raise ConfigError(f"output.{key}", f"{value!r} is not a bare file name")
     pattern = output["trace"]
     try:
         traces = [pattern.format(name=sc.name) for sc, _ in solvers]
     except (AttributeError, IndexError, KeyError, ValueError) as exc:
         raise ConfigError("output.trace", f"bad pattern {pattern!r}: {exc!r}") from exc
+    for idx, ((sc, _), trace) in enumerate(zip(solvers, traces)):
+        if not _bare(trace):
+            where = "output.trace" if _bare(str(sc.name)) else f"solvers[{idx}].name"
+            raise ConfigError(where, f"trace file {trace!r} is not a bare file name")
     files = {output["summary"]}
     for key, file in [("plot_data", output["plot_data"]), *(("trace", t) for t in traces)]:
         if file in files:

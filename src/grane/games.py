@@ -32,7 +32,6 @@ __all__ = [
     "box_bounds",
     "clamp",
     "make_quadratic_game",
-    "project_box",
     "quadratic_constants",
 ]
 
@@ -48,13 +47,6 @@ class BoxSet:
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise ValueError(f"invalid box [{self.lo}, {self.hi}]")
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    def contains(self, v: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= v <= self.hi + tol
-
 
 def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
     """Stack a list of :class:`BoxSet` into ``(lo, hi)`` arrays."""
@@ -66,11 +58,6 @@ def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
 def clamp(v: np.ndarray, lo, hi) -> np.ndarray:
     """Clamp the float array ``v`` into ``[lo, hi]`` in place and return it."""
     return v.clip(lo, hi, out=v)
-
-
-def project_box(boxes, v) -> np.ndarray:
-    """Componentwise projection of ``v`` onto the product of the boxes."""
-    return clamp(np.array(v, dtype=float), *box_bounds(boxes))
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,8 @@ class QuadraticGame(Game):
         return self._M.copy()
 
     def cost(self, i: int, x) -> float:
-        """Cost ``J_i`` at the joint point ``x`` (used by finite-difference checks)."""
+        """Cost ``J_i`` at the joint point ``x``: the reference that the
+        finite-difference and best-response checks compare the mapping against."""
         x = np.asarray(x, dtype=float)
         return float(
             0.5 * self.a[i] * x[i] ** 2 + self.b[i] * x[i] + (self.coupling[i] @ x) * x[i]

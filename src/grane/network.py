@@ -6,8 +6,8 @@ sum to one, ``I - W`` is positive semidefinite, and its null space is the
 consensus line ``span(1)``. Two standard constructions are provided (lazy
 Laplacian weights and Metropolis weights) together with a validator for all
 of these properties and the two spectral quantities every step-size formula
-consumes: the largest singular value of ``I - W`` and its smallest nonzero
-eigenvalue.
+consumes: the largest absolute eigenvalue of the symmetric ``I - W`` and its
+smallest nonzero eigenvalue.
 """
 
 from __future__ import annotations
@@ -80,16 +80,6 @@ class Graph:
                     frontier.append(v)
         return len(seen) == self.n
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Graph":
-        return cls(int(data["n"]), data["edges"])
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 
@@ -127,6 +117,11 @@ def random_tree(n: int, seed: int) -> Graph:
 class MixingMatrix:
     """A mixing matrix together with its graph and cached spectral data.
 
+    ``W`` is assumed symmetric, as every construction here makes it: one
+    symmetric eigendecomposition of ``I - W``, which reads only its lower
+    triangle, gives both spectral quantities. :func:`validate_mixing` checks
+    the symmetry.
+
     Attributes
     ----------
     W : ndarray
@@ -134,7 +129,8 @@ class MixingMatrix:
     graph : Graph
         The communication graph whose edges carry the off-diagonal support.
     sigma_max_IW : float
-        Largest singular value of ``I - W``.
+        Largest absolute eigenvalue of the symmetric ``I - W`` (its largest
+        singular value).
     lambda_min_nz_IW : float
         Smallest nonzero eigenvalue of ``I - W`` (algebraic connectivity of
         the weighted graph, strictly positive for connected graphs).
@@ -149,18 +145,10 @@ class MixingMatrix:
         self.W = W
         self.graph = graph
         self.n = graph.n
-        IW = np.eye(self.n) - W
-        self.sigma_max_IW = float(np.linalg.svd(IW, compute_uv=False).max())
-        eigs = self.eigvals_IW = np.linalg.eigvalsh(IW)
+        eigs = self.eigvals_IW = np.linalg.eigvalsh(np.eye(self.n) - W)
+        self.sigma_max_IW = float(np.abs(eigs).max())
         nonzero = eigs[np.abs(eigs) > _NULL_TOL]
         self.lambda_min_nz_IW = float(nonzero.min()) if nonzero.size else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "W": self.W.tolist(),
-            "sigma_max": self.sigma_max_IW,
-            "lambda_min_nz": self.lambda_min_nz_IW,
-        }
 
     def __repr__(self):
         return (
@@ -226,7 +214,7 @@ def validate_mixing(m: MixingMatrix, tol: float = 1e-10) -> MixingValidation:
     graph's edge set. Each failed check contributes one entry to
     ``failures``; the numeric evidence is kept in ``details``.
     """
-    W, n = m.W, m.n
+    W = m.W
     report = MixingValidation()
 
     def check(ok: bool, name: str, value):
@@ -249,14 +237,12 @@ def validate_mixing(m: MixingMatrix, tol: float = 1e-10) -> MixingValidation:
     n_null = int(np.sum(np.abs(eigs) <= tol))
     check(n_null == 1, "null_space_dimension", n_null)
 
-    edge_set = set(m.graph.edges)
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            on_edge = (i, j) in edge_set
-            if on_edge and W[i, j] <= tol:
-                bad.append((i, j, "zero weight on edge"))
-            if not on_edge and abs(W[i, j]) > tol:
-                bad.append((i, j, "weight off the edge set"))
+    on_edge = np.triu(m.graph.adjacency(), k=1) > 0
+    zero_on_edge = on_edge & (W <= tol)
+    off_edge = np.triu(np.abs(W) > tol, k=1) & ~on_edge
+    bad = [
+        (int(i), int(j), "zero weight on edge" if zero_on_edge[i, j] else "weight off the edge set")
+        for i, j in np.argwhere(zero_on_edge | off_edge)
+    ]
     check(not bad, "sparsity_pattern", bad)
     return report

@@ -46,7 +46,6 @@ __all__ = [
     "DivergenceError",
     "SolverConfig",
     "acc_grane_run",
-    "acceleration_weights",
     "centralized_gradient_play",
     "grane_run",
     "reference_step",
@@ -298,20 +297,6 @@ def grane_run(
     X, k = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
     trace.metadata["iterations"] = k
     return X, trace
-
-
-def acceleration_weights(gamma: float, count: int):
-    """The weight sequence ``lam`` and its prefix sums ``S``.
-
-    ``lam_0 = 1`` and ``lam_{k+1} = S_k / gamma``; e.g. ``gamma=2`` yields
-    ``lam = (1, 0.5, 0.75, 1.125, ...)`` and ``S = (1, 1.5, 2.25, 3.375, ...)``.
-    """
-    lams = [1.0]
-    sums = [1.0]
-    for _ in range(count - 1):
-        lams.append(sums[-1] / gamma)
-        sums.append(sums[-1] + lams[-1])
-    return np.array(lams), np.array(sums)
 
 
 def acc_grane_run(

@@ -136,6 +136,10 @@ def _solver0(**fields):
     return lambda config: config["solvers"][0].update(fields)
 
 
+def _output(**fields):
+    return lambda config: config["output"].update(fields)
+
+
 # (field the error must name, edit of g2.json): validate, run and constants
 # must each reject the edited config, naming that field
 MALFORMED = [
@@ -162,10 +166,22 @@ MALFORMED = [
     ("output.trace", lambda config: config["output"].update(trace="summary.json")),
     ("output.plot_data", lambda config: config["output"].update(plot_data="summary.json")),
     ("output.summary", lambda config: config["output"].update(summary=5)),
+    # output names that would leave the output directory
+    pytest.param("output.trace", _output(trace="sub/{name}.csv"), id="output.trace-subdir"),
+    pytest.param("solvers[0].name", _solver0(name="a/b"), id="solvers[0].name-slash"),
+    pytest.param("solvers[0].name", lambda config: (_output(trace="{name}")(config),
+                                                    _solver0(name="..")(config)),
+                 id="solvers[0].name-parent"),
+    pytest.param("output.summary", _output(summary="../escape.json"), id="output.summary-escape"),
+    pytest.param("output.summary", _output(summary="/summary.json"), id="output.summary-absolute"),
+    pytest.param("output.summary", _output(summary=".."), id="output.summary-parent"),
+    pytest.param("output.plot_data", _output(plot_data=""), id="output.plot_data-empty"),
+    pytest.param("output.plot_data", _output(plot_data="."), id="output.plot_data-dot"),
 ]
 
 
-@pytest.mark.parametrize("fieldname, edit", MALFORMED, ids=[f for f, _ in MALFORMED])
+@pytest.mark.parametrize("fieldname, edit", MALFORMED,
+                         ids=[getattr(case, "id", None) or case[0] for case in MALFORMED])
 def test_malformed_config_rejected_everywhere(tmp_path, capsys, fieldname, edit):
     config = g2_config_dict()
     edit(config)
@@ -176,7 +192,7 @@ def test_malformed_config_rejected_everywhere(tmp_path, capsys, fieldname, edit)
     assert main(["run", str(path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
     assert main(["constants", str(path)]) == EXIT_CONFIG
     assert f"invalid config: {fieldname}:" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_comment_allowed_only_at_root(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grane import (
@@ -55,11 +57,6 @@ def test_random_tree_deterministic():
 def test_random_tree_requires_two_nodes():
     with pytest.raises(ValueError):
         random_tree(1, 0)
-
-
-def test_graph_json_roundtrip():
-    g = random_tree(6, 2)
-    assert Graph.from_json(g.to_json()) == g
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +132,17 @@ def test_identity_matrix_fails():
     assert "null_space_dimension" in report.failures
 
 
+def test_weight_off_the_edge_set_fails():
+    # weights on 0-1, 1-2 and 0-3, checked against the path 0-1-2-3
+    m = mixing_from_laplacian(Graph(4, [(0, 1), (1, 2), (0, 3)]))
+    report = validate_mixing(MixingMatrix(m.W, path_graph(4)))
+    assert report.failures == ["sparsity_pattern"]
+    assert report.details["sparsity_pattern"] == [
+        (0, 3, "weight off the edge set"),
+        (2, 3, "zero weight on edge"),
+    ]
+
+
 def test_asymmetric_perturbation_fails():
     m = mixing_from_laplacian(path_graph(3))
     W = m.W.copy()
@@ -166,9 +174,15 @@ def test_spectrum_computed_once_and_reused():
     assert "spectrum_upper" in validate_mixing(m).failures
 
 
-def test_mixing_json():
-    m = mixing_from_laplacian(path_graph(3))
-    data = m.to_json()
-    assert_allclose(data["W"], m.W)
-    assert data["sigma_max"] == m.sigma_max_IW
-    assert data["lambda_min_nz"] == m.lambda_min_nz_IW
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    topology=st.sampled_from(["path", "tree", "complete"]),
+    construction=st.sampled_from([mixing_from_laplacian, mixing_metropolis]),
+    seed=st.integers(0, 2**16),
+)
+def test_sigma_max_equals_largest_singular_value(n, topology, construction, seed):
+    graphs = {"path": path_graph(n), "tree": random_tree(n, seed), "complete": complete_graph(n)}
+    m = construction(graphs[topology])
+    oracle = np.linalg.svd(np.eye(n) - m.W, compute_uv=False).max()
+    assert abs(m.sigma_max_IW - oracle) <= 1e-13 * oracle

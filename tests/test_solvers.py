@@ -12,7 +12,6 @@ from grane import (
     SolverConfig,
     StrongMonotonicityUnavailableError,
     acc_grane_run,
-    acceleration_weights,
     augmented_mapping,
     centralized_gradient_play,
     complete_graph,
@@ -178,10 +177,29 @@ def test_runs_are_reproducible(g2_setup):
 # accelerated gradient play
 
 
-def test_acceleration_weight_schedule():
-    lams, sums = acceleration_weights(2.0, 4)
-    assert_allclose(lams, [1.0, 0.5, 0.75, 1.125])
-    assert_allclose(sums, [1.0, 1.5, 2.25, 3.375])
+def test_acceleration_weight_schedule(g2_setup):
+    # with gamma = 2 the weights lam_0 = 1, lam_{k+1} = S_k / gamma are
+    # (1, 0.5, 0.75, 1.125); the fourth output is the average of Y_0..Y_3
+    # under them
+    game, mixing, cfg, _ = g2_setup
+    L = cfg.L_Fa
+    cfg.mu_Fa = L / 2
+    Y0 = project_estimates(game.boxes, np.zeros((2, 2)))
+    y3, _ = acc_grane_run(game, mixing, cfg,
+                          SolverConfig(algorithm="acc-grane", max_iters=4), Y0=Y0)
+
+    def F(X):
+        return augmented_mapping(game, mixing, 1.0, X)
+
+    weights = [1.0, 0.5, 0.75, 1.125]
+    Y = [Y0]
+    B = np.zeros((2, 2))
+    for t, lam in enumerate(weights):
+        B += lam * (Y[t] - 2 * F(Y[t]) / L)
+        X = project_estimates(game.boxes, B / sum(weights[: t + 1]))
+        Y.append(project_estimates(game.boxes, X - F(X) / L))
+    expected = sum(lam * Y_t for lam, Y_t in zip(weights, Y)) / sum(weights)
+    assert_allclose(y3, expected, atol=1e-14)
 
 
 def test_acc_equilibrium_is_fixed_point(g2_setup):
