@@ -18,10 +18,19 @@ diagonal. This module evaluates ``F_a``, computes its Lipschitz,
 strong-monotonicity and restricted-monotonicity constants from the game and
 network constants, bounds the resulting condition number, and provides a
 sampling-based equilibrium certificate.
+
+:func:`consensus_gap`, the largest distance between two rows, is exact bit
+for bit at every size. Past ``n = 40`` it screens the row pairs first: Gram
+products of centered, power-of-two-scaled row tiles estimate every squared
+distance, a rounding bound (dot products, centering and the exact formula,
+times two) brackets each estimate, and only the pairs whose upper bound
+reaches the largest lower bound are formed by the exact formula. Non-finite
+and extremely small inputs skip the screen and form every pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,22 +76,39 @@ def consensual_matrix(x) -> np.ndarray:
     return np.tile(x, (x.size, 1))
 
 
-# consensus_gap's row-difference buffer holds about this many floats
+# consensus_gap's buffers each hold about this many floats
 _GAP_BLOCK = 1 << 16
 
 
 def consensus_gap(X) -> float:
     """Largest Euclidean distance between any two rows of ``X``.
 
-    A block of rows is compared only with the rows from the block's first
-    row on, a slab of them at a time, so each unordered pair is formed once.
-    The differences are squared in one buffer of about ``_GAP_BLOCK`` floats,
-    allocated once per call. Each pair's squared distance is summed along
-    its row, and the one square root is taken of the largest: ``sqrt`` is
-    monotone and correctly rounded, so that is the largest root bit for bit.
-    A NaN entry gives NaN.
+    The value is ``sqrt`` of the largest ``sum((X[i] - X[j])**2)`` over the
+    row pairs, each pair's differences squared and summed along the row;
+    ``sqrt`` is monotone and correctly rounded, so one root of the largest
+    sum is the largest root bit for bit. A NaN entry gives NaN.
+
+    Small inputs, whose ``n x n x m`` pair tensor fits one buffer of
+    ``_GAP_BLOCK`` floats (``n <= 40`` for square ``X``), form every pair in
+    that buffer. Larger ones screen the pairs first with tiled Gram products
+    and form only the pairs that may hold the maximum (:func:`_screened_max`),
+    which gives the same bits; equal rows give 0.0 at once. Non-finite
+    inputs, and inputs too small to scale into the normal range (largest
+    entry off the column mean below about ``1e-155``), keep the all-pairs
+    loop. Every buffer holds about ``_GAP_BLOCK`` floats or fewer.
     """
     X = np.asarray(X, dtype=float)
+    screened = _screened_max(X) if X.shape[0] * X.size > _GAP_BLOCK else None
+    return float(np.sqrt(_all_pairs_max(X) if screened is None else screened[0]))
+
+
+def _all_pairs_max(X) -> float:
+    """The largest squared row distance, every unordered pair formed once.
+
+    A block of rows is compared only with the rows from the block's first
+    row on, a slab of them at a time, and the differences are squared in one
+    buffer of about ``_GAP_BLOCK`` floats, allocated once per call.
+    """
     n, m = X.shape
     rows = min(n, max(1, _GAP_BLOCK // X.size))
     slab = min(n, max(1, _GAP_BLOCK // (rows * m)))
@@ -95,9 +121,132 @@ def consensus_gap(X) -> float:
             b, c = block.shape[0], other.shape[1]
             diff = buf[: b * c * m].reshape(b, c, m)
             np.subtract(block, other, out=diff)
-            np.square(diff, out=diff)
-            gap = np.maximum(gap, diff.sum(axis=2).max())
-    return float(np.sqrt(gap))
+            gap = np.maximum(gap, _largest_square_sum(diff))
+    return gap
+
+
+def _pairs_max(A, B, p, q) -> float:
+    """The largest squared distance between rows ``A[p]`` and ``B[q]``, in
+    chunks of about ``_GAP_BLOCK / 4`` floats."""
+    chunk = max(1, _GAP_BLOCK // (4 * A.shape[1]))
+    gap = 0.0
+    for k in range(0, p.size, chunk):
+        gap = max(gap, _largest_square_sum(A[p[k : k + chunk]] - B[q[k : k + chunk]]))
+    return gap
+
+
+def _largest_square_sum(diff) -> float:
+    """Square the row differences ``diff`` in place and return the largest
+    sum along the last axis: the one formula every pair is formed with."""
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1).max()
+
+
+def _screened_max(X):
+    """``(largest squared row distance, pairs formed exactly)`` of the
+    ``n x m`` array ``X``, found by screening; None where the screen does not
+    apply: a non-finite entry, or a scale exponent outside the normal range.
+    Equal rows give ``(0.0, 0)``.
+
+    **Screen.** The rows are centered on the column mean ``mu`` and scaled
+    by ``2**s``, chosen so that every centered entry is below ``2**e`` in
+    magnitude with ``4 m 4**e <= 2**1020``: no product, sum or estimate
+    overflows, and only an entry over ``2**1000`` times smaller than the
+    largest can make a product subnormal. Over row tiles ``I <= J`` of ``t``
+    rows (``4 t m`` and ``4 t**2`` at most ``_GAP_BLOCK``), one product
+    ``G = C_I @ C_J.T`` gives the estimates ``d2_ij = N_i + N_j - 2 G_ij``,
+    where ``N_i`` is the diagonal of the tile ``C_J @ C_J.T`` holding row
+    ``i``. Each tile keeps the largest estimate of its pairs ``i < j``.
+
+    **Bound.** With ``u = 2**-53`` and ``f_ij`` the exactly formed sum of
+    pair ``i, j`` scaled by ``4**s``, to first order in ``u``:
+
+    * the dot products and norms are off by at most ``gamma_m |c_i||c_j|``
+      and ``gamma_m |c_i|**2`` (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, section 3.1; any summation order, FMA or not), together
+      at most ``2 m u (N_i + N_j)``; forming ``d2_ij`` and the bounds below
+      adds ``6 u (N_i + N_j)``;
+    * the centering rounds each entry by a relative ``u``: the true squared
+      distance of the centered rows moves by at most ``4 u (N_i + N_j)``;
+    * forming ``f_ij`` (difference, square, sum of ``m`` terms) is off by
+      at most ``gamma_(m+2)`` times it, at most ``2 (m + 2) u (N_i + N_j)``.
+
+    That is ``(4 m + 14) u (N_i + N_j)`` in all. The margin of a tile is
+    twice it, rounded up to ``rel = (8 m + 32) u`` times the tile's largest
+    ``N_i + N_j``, plus ``m (2**(e - 1060) + 2**(2 s - 1070))``, which covers
+    underflow in the products, in the scaling and in the exact squares with
+    the same factor of two or more. The factor also covers the second-order
+    terms, for ``m`` far below ``1 / u``.
+
+    **Exact pass.** ``low`` is the largest lower bound ``d2_ij - margin``;
+    the largest ``f_ij`` is at least ``low``, so it lies among the pairs
+    whose upper bound ``d2_ij + margin`` reaches ``low``. Only tiles whose
+    largest upper bound reaches ``low`` are estimated again, and only their
+    pairs that reach it are formed exactly with :func:`_pairs_max`.
+    """
+    n, m = X.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = X.mean(axis=0)
+        # rounding is monotone: the largest |fl(x - mu)| over all entries
+        amax = np.max(np.maximum(X.max(axis=0) - mu, mu - X.min(axis=0)))
+    if not amax < np.inf:  # NaN or infinity
+        return None
+    if amax == 0.0:  # every row equals mu: every difference is zero
+        return 0.0, 0
+    e = (1018 - m.bit_length()) // 2
+    s = e - math.frexp(amax)[1]
+    if not -1022 <= s <= 1023:
+        return None
+    scale = 2.0**s
+    rel = (8 * m + 32) * 2.0**-53
+    slack = m * (2.0 ** (e - 1060) + 2.0 ** (2 * s - 1070))
+
+    t = max(1, min(n, _GAP_BLOCK // (4 * m), math.isqrt(_GAP_BLOCK // 4)))
+    ci, cj, g = np.empty((t, m)), np.empty((t, m)), np.empty(t * t)
+    below = np.tri(t, dtype=bool)
+    norms = np.empty(n)
+
+    def center(i, out):
+        rows = X[i : i + t]
+        c = out[: len(rows)]
+        np.subtract(rows, mu, out=c)
+        c *= scale
+        return c
+
+    def estimates(i, a, j, b):
+        """Estimates for rows ``a`` from ``i`` against rows ``b`` from
+        ``j >= i``, pairs not above the diagonal at -inf, and their margin."""
+        est = g[: len(a) * len(b)].reshape(len(a), len(b))
+        np.matmul(a, b.T, out=est)
+        if i == j:
+            norms[j : j + len(b)] = est.diagonal()
+        ni, nj = norms[i : i + len(a)], norms[j : j + len(b)]
+        est *= -2.0
+        est += ni[:, None]
+        est += nj
+        if i == j:
+            np.putmask(est, below[: len(a), : len(a)], -np.inf)
+        return est, rel * (ni.max() + nj.max()) + slack
+
+    low, tops = -np.inf, []
+    for j in range(0, n, t):
+        b = center(j, cj)
+        for i in range(j, -1, -t):  # the diagonal tile first: it sets norms[j:]
+            est, margin = estimates(i, b if i == j else center(i, ci), j, b)
+            top = est.max()
+            low = max(low, top - margin)
+            tops.append((i, j, top + margin))
+
+    gap, formed = 0.0, 0
+    for i, j, top in tops:
+        if top >= low:
+            b = center(j, cj)
+            est, margin = estimates(i, b if i == j else center(i, ci), j, b)
+            est += margin
+            p, q = np.nonzero(est >= low)
+            formed += p.size
+            gap = max(gap, _pairs_max(X[i:], X[j:], p, q))
+    return gap, formed
 
 
 def clamp_diagonal(X: np.ndarray, lo, hi) -> np.ndarray:

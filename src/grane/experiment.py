@@ -203,7 +203,9 @@ def load_experiment(path) -> Experiment:
     Anything a run would reject, an unknown field included (the root may
     carry a ``comment``), raises a :class:`ConfigError` naming its field; so
     does an output trace pattern that fails to format with a solver name or
-    sends two outputs to one file, and an output that is not a bare file name.
+    sends two outputs to one file, an output that is not a bare file name, and
+    a solver name holding a comma, a double quote or a line break, which would
+    break the rows of ``residuals.csv``.
     ``reference`` holds the keyword arguments of ``centralized_gradient_play``
     with the step resolved; ``solvers`` pairs each entry's ``SolverConfig``
     with its ``AugmentedConfig``, or with the
@@ -232,6 +234,8 @@ def load_experiment(path) -> Experiment:
                 cfg = make_augmented_config(game, mixing, sc.alpha, sc.path, sc.beta)
             except StrongMonotonicityUnavailableError as exc:
                 cfg = exc
+        if any(ch in str(sc.name) for ch in ',"\n\r'):
+            raise ConfigError(f"{where}.name", f"{sc.name!r} would break the CSV outputs")
         if any(sc.name == other.name for other, _ in solvers):
             raise ConfigError(f"{where}.name", f"duplicate solver name {sc.name!r}")
         solvers.append((sc, cfg))

@@ -26,6 +26,7 @@ and export to CSV.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,8 @@ def _norm(d: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _iterate(step, x, max_iters: int, stop_tol: float, observe):
-    """Iterate ``x <- step(x)``; returns the last iterate and the step count.
+    """Iterate ``x <- step(x)``; returns the last iterate, the step count and
+    the last step's movement (infinite when no step was taken).
 
     ``observe(k, x, last)`` sees iterate ``k`` for ``k = 0, 1, ...``, with
     ``last`` true on the final one. The run stops after ``max_iters`` steps
@@ -217,7 +219,7 @@ def _iterate(step, x, max_iters: int, stop_tol: float, observe):
     observe(0, x, max_iters == 0)
     window = [0.0] * _GUARD_WINDOW  # the last moves, by k % _GUARD_WINDOW
     floor = 0.0
-    k = 0
+    k, move = 0, math.inf
     while k < max_iters:
         x_new = step(x)
         move = _norm(x_new - x)
@@ -240,7 +242,7 @@ def _iterate(step, x, max_iters: int, stop_tol: float, observe):
         observe(k, x, stop or k == max_iters)
         if stop:
             break
-    return x, k
+    return x, k, move
 
 
 def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
@@ -294,7 +296,7 @@ def grane_run(
 
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": lam})
     observe = _observer(trace, game, mixing, alpha, reference, X)
-    X, k = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
+    X, k, _ = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
     trace.metadata["iterations"] = k
     return X, trace
 
@@ -357,7 +359,7 @@ def acc_grane_run(
 
     observe = _observer(trace, game, mixing, alpha, reference, Y)
     y_tilde = step(None)  # iteration 0; its average is the start itself
-    y_tilde, k = _iterate(step, y_tilde, sc.max_iters - 1, sc.stop_tol, observe)
+    y_tilde, k, _ = _iterate(step, y_tilde, sc.max_iters - 1, sc.stop_tol, observe)
     trace.metadata["iterations"] = k + 1
     return y_tilde, trace
 
@@ -389,16 +391,24 @@ def centralized_gradient_play(
 
     Serves as the ground-truth oracle for the distributed runs; ``step`` is
     resolved by :func:`reference_step`. Stops when the iterate moves by at
-    most ``tol`` (0 runs all ``max_iters``).
+    most ``tol`` (0 runs all ``max_iters``). Stopping at ``max_iters`` with
+    ``tol > 0`` unmet emits a ``RuntimeWarning`` giving the iteration count
+    and the last move, and still returns the last iterate.
     """
     step = reference_step(game, step)
     lo, hi = game.lo, game.hi
     x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
-    x, _ = _iterate(
+    x, k, move = _iterate(
         lambda x: clamp(x - step * game.mapping(x), lo, hi),
         x,
         max_iters,
         tol,
         lambda k, x, last: None,
     )
+    if tol > 0.0 and move > tol:
+        warnings.warn(
+            f"reference not converged: {k} iterations, last move {move:.3g} > tol {tol:.3g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return x

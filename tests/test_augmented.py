@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grane import (
@@ -486,3 +488,80 @@ def test_consensus_gap_memory_is_bounded(n):
         tracemalloc.stop()
     # the n x n input is allocated before tracing starts
     assert peak < 1 << 20
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 120),
+    m=st.one_of(st.none(), st.integers(1, 130)),
+    exponent=st.integers(-300, 150),
+    offset=st.sampled_from([0.0, 1e8]),
+    kind=st.sampled_from(
+        ["random", "nearly consensual", "duplicated rows", "near ties", "consensual"]
+    ),
+    tile_rows=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_consensus_gap_is_bit_for_bit(n, m, exponent, offset, kind, tile_rows, seed):
+    m = n if m is None else m
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    if kind == "random":
+        X = scale * rng.standard_normal((n, m))
+    elif kind == "nearly consensual":
+        X = scale * (rng.standard_normal(m) + 1e-12 * rng.standard_normal((n, m)))
+    elif kind == "duplicated rows":
+        # two copies of some rows tie the largest distance
+        X = scale * rng.standard_normal((n, m))[rng.integers(0, max(1, n // 2), size=n)]
+    elif kind == "near ties":
+        X = scale * rng.standard_normal((2, m))[rng.integers(0, 2, size=n)]
+        X *= 1.0 + 2.0**-52 * rng.standard_normal((n, m))
+    else:
+        X = np.tile(scale * rng.standard_normal(m), (n, 1))
+    X = X + offset
+    with pytest.MonkeyPatch.context() as mp:
+        # screen every input, in tiles of about tile_rows rows
+        mp.setattr(augmented, "_GAP_BLOCK", min(4 * m * tile_rows, n * n * m - 1))
+        assert consensus_gap(X) == _gap_by_pairs(X)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_consensus_gap_non_finite_matches_all_pairs(value):
+    X = np.random.default_rng(3).standard_normal((300, 300))
+    X[17, 230] = value
+    with np.errstate(invalid="ignore"):
+        expected = float(np.sqrt(augmented._all_pairs_max(X)))
+        np.testing.assert_equal(consensus_gap(X), expected)
+
+
+@pytest.mark.parametrize("kind", ["random", "subnormal-laden"])
+def test_consensus_gap_screen_forms_few_pairs(monkeypatch, kind):
+    n = 300
+    rng = np.random.default_rng(7)
+    if kind == "random":
+        X = rng.standard_normal((n, n))
+    else:
+        X = rng.choice([-1.0, 1.0], size=(n, n)) * 10.0 ** rng.uniform(-280, -23, size=(n, n))
+    gap, formed = augmented._screened_max(X)
+    assert 1 <= formed <= n
+    assert np.sqrt(gap) == _gap_by_pairs(X)
+
+    # consensus_gap itself takes the screen: the all-pairs loop is never entered
+    def all_pairs(X):
+        raise AssertionError("all-pairs loop entered")
+
+    monkeypatch.setattr(augmented, "_all_pairs_max", all_pairs)
+    assert consensus_gap(X) == np.sqrt(gap)
+
+
+def test_screened_consensus_gap_resolves_near_ties(monkeypatch):
+    # copies of two rows, each entry moved by about one ulp: many pairs lie
+    # within a few ulps of the largest distance, closer than the estimates'
+    # rounding, so only the margin keeps the true largest pair
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(2, 60), rng.integers(1, 60)
+        X = rng.standard_normal((2, m))[rng.integers(0, 2, size=n)]
+        X *= 1.0 + 2.0**-52 * rng.standard_normal((n, m))
+        monkeypatch.setattr(augmented, "_GAP_BLOCK", min(4 * m * rng.integers(1, 20), n * n * m - 1))
+        assert consensus_gap(X) == _gap_by_pairs(X), seed

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import grane
 from grane import (
     StrongMonotonicityUnavailableError,
     bundled_config,
@@ -27,7 +32,7 @@ from grane.experiment import (
     load_config,
     load_experiment,
 )
-from grane.solvers import reference_step
+from grane.solvers import centralized_gradient_play, reference_step
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -177,6 +182,11 @@ MALFORMED = [
     pytest.param("output.summary", _output(summary=".."), id="output.summary-parent"),
     pytest.param("output.plot_data", _output(plot_data=""), id="output.plot_data-empty"),
     pytest.param("output.plot_data", _output(plot_data="."), id="output.plot_data-dot"),
+    # solver names that would break the rows of residuals.csv
+    pytest.param("solvers[0].name", _solver0(name="a,b"), id="solvers[0].name-comma"),
+    pytest.param("solvers[0].name", _solver0(name='a"b'), id="solvers[0].name-quote"),
+    pytest.param("solvers[0].name", _solver0(name="a\nb"), id="solvers[0].name-newline"),
+    pytest.param("solvers[0].name", _solver0(name="a\rb"), id="solvers[0].name-return"),
 ]
 
 
@@ -353,6 +363,34 @@ def test_cli_nonfinite_iterate_exit_3(tmp_path, capsys):
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == EXIT_DIVERGENCE
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["g2.json", "g2r.json", "accel.json", "paper_sec5.json"])
+def test_bundled_references_converge(name):
+    exp = load_experiment(bundled_config(name))
+    centralized_gradient_play(exp.game, **exp.reference)
+
+
+def test_cli_reports_unconverged_reference(tmp_path):
+    config = g2_config_dict()
+    config["reference"]["max_iters"] = 5
+    path = write_config(tmp_path, config)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(grane.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-m", "grane", "run", str(path), "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == EXIT_OK
+    assert "RuntimeWarning: reference not converged: 5 iterations" in result.stderr
+    # the summary holds the same bytes as that of the same 5 steps run silently
+    config["reference"]["tol"] = 0.0
+    silent = write_config(tmp_path, config, name="silent.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(silent), "--output-dir", str(tmp_path / "silent")]) == EXIT_OK
+    summary = "summary.json"
+    assert (tmp_path / "out" / summary).read_bytes() == (tmp_path / "silent" / summary).read_bytes()
 
 
 def test_acc_grane_rejects_numeric_step(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,17 @@ def test_centralized_fixed_point(g2):
     x_star = linear_solve_equilibrium(g2)
     x = centralized_gradient_play(g2, max_iters=10, x0=x_star)
     assert_allclose(x, x_star, atol=1e-13)
+
+
+def test_centralized_warns_when_unconverged(g2):
+    with pytest.warns(RuntimeWarning, match=r"not converged: 5 iterations, last move \S+ > tol 1e-12"):
+        x = centralized_gradient_play(g2, max_iters=5)
+    assert np.all(np.isfinite(x))
+    # a converged run, and one without a tolerance, stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centralized_gradient_play(g2, max_iters=5, tol=0.0)
+        centralized_gradient_play(g2)
 
 
 def test_centralized_divergence(g2):
