@@ -77,19 +77,24 @@ class GameConstants:
     mu_r : float
         Restricted strong-monotonicity constant with respect to the
         equilibrium (0 when unknown).
+    joint_lipschitz : float
+        Lipschitz constant of the whole mapping ``F`` on ``R^n`` in the
+        Euclidean norm, or an upper bound on it; unlike
+        :attr:`mapping_lipschitz` it is not a per-player maximum.
     """
 
     mu_F: float
     L_own: np.ndarray
     L_other: np.ndarray
     mu_r: float
+    joint_lipschitz: float
 
     def __post_init__(self):
         object.__setattr__(self, "L_own", np.asarray(self.L_own, dtype=float))
         object.__setattr__(self, "L_other", np.asarray(self.L_other, dtype=float))
         if self.mu_F < 0 or self.mu_r < 0:
             raise ValueError("monotonicity constants must be nonnegative")
-        if np.any(self.L_own < 0) or np.any(self.L_other < 0):
+        if np.any(self.L_own < 0) or np.any(self.L_other < 0) or self.joint_lipschitz < 0:
             raise ValueError("Lipschitz constants must be nonnegative")
 
     @property
@@ -213,6 +218,10 @@ def quadratic_constants(game: QuadraticGame) -> GameConstants:
     clamped at 0 when negative. With antisymmetric coupling that symmetric
     part is ``Diag(a)``, so the restricted constant is ``min_i a_i`` exactly;
     otherwise the restricted constant coincides with the global one.
+    ``joint_lipschitz`` bounds the spectral norm of the Jacobian ``M`` by
+    ``min(|M|_F, sqrt(|M|_1 |M|_inf))`` (Golub & Van Loan, *Matrix
+    Computations*, section 2.3), two O(n^2) upper bounds on ``|M|_2``; the
+    Frobenius one is at most ``sqrt(n) * mapping_lipschitz``.
     """
     L_own = game.a.copy()
     L_other = np.linalg.norm(game.coupling, axis=1)
@@ -220,7 +229,10 @@ def quadratic_constants(game: QuadraticGame) -> GameConstants:
     sym = 0.5 * (M + M.T)
     mu_F = max(0.0, float(np.linalg.eigvalsh(sym).min()))
     mu_r = float(game.a.min()) if game.antisymmetric else mu_F
-    return GameConstants(mu_F=mu_F, L_own=L_own, L_other=L_other, mu_r=mu_r)
+    joint = min(np.linalg.norm(M), math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)))
+    return GameConstants(
+        mu_F=mu_F, L_own=L_own, L_other=L_other, mu_r=mu_r, joint_lipschitz=float(joint)
+    )
 
 
 def make_quadratic_game(

@@ -366,14 +366,16 @@ def acc_grane_run(
 
 def reference_step(game: Game, step) -> float:
     """The step of :func:`centralized_gradient_play`: ``step`` itself when
-    positive, or for ``'auto'`` ``mu_F / (sqrt(n) * max_i L_(i))**2``, a
-    conservative bound on the mapping's Lipschitz constant; needs ``mu_F > 0``."""
+    positive, or for ``'auto'`` ``mu_F / L**2`` with ``L`` the game's
+    ``joint_lipschitz``, an upper bound on the mapping's Lipschitz constant
+    (for a quadratic game ``min(|M|_F, sqrt(|M|_1 |M|_inf))``, ``M`` its
+    Jacobian). Each step then shrinks the distance to the equilibrium by a
+    factor of at most ``sqrt(1 - mu_F**2 / L**2)``; needs ``mu_F > 0``."""
     if step == "auto":
         constants = game.constants
         if constants.mu_F <= 0:
             raise ValueError("step 'auto' needs mu_F > 0; supply an explicit step")
-        L = np.sqrt(game.n) * constants.mapping_lipschitz
-        return constants.mu_F / L**2
+        return constants.mu_F / constants.joint_lipschitz**2
     if not isinstance(step, (int, float)) or step <= 0:
         raise ValueError(f"step must be positive or 'auto', got {step!r}")
     return step
@@ -390,7 +392,8 @@ def centralized_gradient_play(
     action space.
 
     Serves as the ground-truth oracle for the distributed runs; ``step`` is
-    resolved by :func:`reference_step`. Stops when the iterate moves by at
+    resolved by :func:`reference_step`, whose ``'auto'`` is
+    ``mu_F / joint_lipschitz**2``. Stops when the iterate moves by at
     most ``tol`` (0 runs all ``max_iters``). Stopping at ``max_iters`` with
     ``tol > 0`` unmet emits a ``RuntimeWarning`` giving the iteration count
     and the last move, and still returns the last iterate.

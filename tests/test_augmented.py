@@ -565,3 +565,16 @@ def test_screened_consensus_gap_resolves_near_ties(monkeypatch):
         X *= 1.0 + 2.0**-52 * rng.standard_normal((n, m))
         monkeypatch.setattr(augmented, "_GAP_BLOCK", min(4 * m * rng.integers(1, 20), n * n * m - 1))
         assert consensus_gap(X) == _gap_by_pairs(X), seed
+
+
+@pytest.mark.parametrize("n", [64, 300])
+@pytest.mark.parametrize("kind", ["identity", "shifted simplex"])
+def test_screened_consensus_gap_on_exact_ties(n, kind):
+    # every pair of rows lies at the same distance, so every pair is a
+    # candidate and the screen must still give the all-pairs value bit for bit
+    X = np.eye(n) if kind == "identity" else 2.5 * np.eye(n) - 0.75
+    expected = augmented._all_pairs_max(X)
+    gap, formed = augmented._screened_max(X)
+    assert formed == n * (n - 1) // 2
+    assert gap == expected
+    assert consensus_gap(X) == np.sqrt(expected)

@@ -139,7 +139,9 @@ def test_constants_clamped_when_indefinite():
 
 def test_constants_reject_negative():
     with pytest.raises(ValueError):
-        GameConstants(mu_F=-1.0, L_own=[1.0], L_other=[0.0], mu_r=0.0)
+        GameConstants(mu_F=-1.0, L_own=[1.0], L_other=[0.0], mu_r=0.0, joint_lipschitz=1.0)
+    with pytest.raises(ValueError):
+        GameConstants(mu_F=1.0, L_own=[1.0], L_other=[0.0], mu_r=0.0, joint_lipschitz=-1.0)
 
 
 def test_monotonicity_sampling():

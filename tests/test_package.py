@@ -1,4 +1,7 @@
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,21 @@ def test_removed_names_stay_removed():
         assert name not in grane.__all__ and not hasattr(grane, name), name
     # graphs compare by identity again
     assert grane.Graph.__eq__ is object.__eq__
+
+
+def test_modules_import_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy alone: any other import, even of a package
+    # installed locally, would fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "grane"}
+    package = Path(grane.__file__).parent
+    stray = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert not stray

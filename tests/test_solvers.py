@@ -27,6 +27,8 @@ from grane import (
     random_tree,
     residual_metrics,
 )
+from grane.games import clamp
+from grane.solvers import reference_step
 
 from conftest import grane_player_step, linear_solve_equilibrium
 
@@ -304,6 +306,62 @@ def test_centralized_auto_step_needs_mu():
         centralized_gradient_play(game)
     x = centralized_gradient_play(game, step=0.1)
     assert np.all(np.isfinite(x))
+
+
+def _fixed_point_residual(game, x):
+    return float(np.linalg.norm(x - clamp(x - game.mapping(x), game.lo, game.hi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    kind=st.sampled_from(["antisymmetric", "general", "heavy column"]),
+    scale=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auto_reference_step_bound(n, kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    C = scale * rng.uniform(-1.0, 1.0, size=(n, n)) / np.sqrt(n)
+    if kind == "antisymmetric":
+        C = np.triu(C, 1) - np.triu(C, 1).T
+    elif kind == "heavy column":
+        # one column far heavier than every row: |M|_1 >> |M|_inf
+        C = np.zeros((n, n))
+        C[:, rng.integers(n)] = scale * rng.uniform(-1.0, 1.0, size=n)
+    np.fill_diagonal(C, 0.0)
+    boxes = [BoxSet(-u, v) for u, v in rng.uniform(0.5, 5.0, size=(n, 2))]
+    game = QuadraticGame(rng.uniform(1.0, 2.0, n), rng.uniform(-3.0, 3.0, n), C, boxes)
+    c = game.constants
+    M = game.jacobian()
+    norm2 = float(np.linalg.norm(M, 2))
+    # L is at least the spectral norm and at most the old per-player bound
+    assert norm2 <= c.joint_lipschitz * (1 + 1e-12)
+    assert c.joint_lipschitz <= np.sqrt(n) * c.mapping_lipschitz * (1 + 1e-12)
+    if c.mu_F <= 0 or c.joint_lipschitz > 20 * c.mu_F:
+        return  # no auto step, or too slow a contraction for a property test
+    s = reference_step(game, "auto")
+    assert s == c.mu_F / c.joint_lipschitz**2
+    tol = 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = centralized_gradient_play(game, tol=tol)
+    # the stopping rule's bound: a move of at most tol bounds the unit-step
+    # residual of the previous iterate by tol * max(1, 1/s), and that residual
+    # is (2 + |M|_2)-Lipschitz; plus rounding in forming it
+    scale_x = 1 + np.abs(x).max() + np.abs(game.mapping(x)).max()
+    rounding = 100 * np.finfo(float).eps * np.sqrt(n) * scale_x
+    bound = tol * (max(1.0, 1.0 / s) + 2.0 + norm2) + rounding
+    assert _fixed_point_residual(game, x) <= bound
+
+
+def test_reference_on_the_n300_workload_game():
+    # make_quadratic_game(300, 1) draws the game of the records-n300 benchmark
+    # workload; the auto step solves it in a few hundred iterations
+    game = make_quadratic_game(300, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = centralized_gradient_play(game, max_iters=1000, tol=1e-12)
+    assert _fixed_point_residual(game, x) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
