@@ -21,7 +21,6 @@ from grane import (
     mixing_from_laplacian,
     ne_certificate,
     path_graph,
-    restricted_monotonicity,
     strong_monotonicity_constant,
 )
 
@@ -54,8 +53,8 @@ strong = QuadraticGame([2.0, 2.0], [-2.0, 0.0], [[0.0, 3.0], [-3.0, 0.0]],
                        [BoxSet(-10, 10), BoxSet(-10, 10)])
 print("\nstrongly coupled game:",
       strong_monotonicity_constant(strong.constants, mixing, 1.0))
-rc = restricted_monotonicity(strong.constants, mixing)
-print(f"restricted path: alpha = {rc.alpha:.3e}, mu_r_Fa = {rc.mu_r_Fa:.3e}")
+rc = make_augmented_config(strong, mixing, alpha="remark4", path="lemma3")
+print(f"restricted path: alpha = {rc.alpha[0]:.3e}, mu_r_Fa = {rc.mu_r_Fa:.3e}")
 
 # The certificate checks consensus, the variational inequality on random
 # feasible matrices, and per-player stationarity at the box ends.

@@ -27,7 +27,6 @@ from .augmented import (
     make_augmented_config,
     ne_certificate,
     project_estimates,
-    restricted_monotonicity,
     strong_monotonicity_constant,
 )
 from .games import (
@@ -103,7 +102,6 @@ __all__ = [
     "quadratic_constants",
     "random_tree",
     "residual_metrics",
-    "restricted_monotonicity",
     "run_experiment",
     "strong_monotonicity_constant",
     "validate_config",

@@ -31,7 +31,7 @@ and extremely small inputs skip the screen and form every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "AugmentedConfig",
     "ConditionReport",
     "EquilibriumCertificate",
-    "RestrictedConstants",
     "StrongMonotonicityUnavailableError",
     "augmented_mapping",
     "clamp_diagonal",
@@ -55,7 +54,6 @@ __all__ = [
     "ne_certificate",
     "project_estimates",
     "restricted_constants_at",
-    "restricted_monotonicity",
     "strong_monotonicity_constant",
 ]
 
@@ -329,15 +327,6 @@ def strong_monotonicity_constant(constants, mixing: MixingMatrix, alpha):
     return min(a1, a2)
 
 
-@dataclass(frozen=True)
-class RestrictedConstants:
-    """Uniform scaling and restricted-monotonicity constant of ``F_a``."""
-
-    alpha: float
-    mu_r_Fa: float
-    beta: float
-
-
 def restricted_constants_at(constants, mixing: MixingMatrix, alpha: float, beta: float):
     """Restricted-monotonicity constant for a given uniform ``alpha`` and ``beta``.
 
@@ -357,61 +346,19 @@ def restricted_constants_at(constants, mixing: MixingMatrix, alpha: float, beta:
     return min(b1, b2)
 
 
-def _balanced_beta(constants) -> float:
-    """The positive root of ``beta**2 + 2*beta = mu_r / (2*n*L_F)``."""
-    n = constants.L_other.size
-    return -1.0 + np.sqrt(1.0 + constants.mu_r / (2 * n * constants.mapping_lipschitz))
-
-
-def restricted_monotonicity(
-    constants, mixing: MixingMatrix, beta: float | None = None, alpha: float | None = None
-) -> RestrictedConstants:
-    """Pick a uniform scaling that makes ``F_a`` restricted strongly monotone.
-
-    By default ``beta`` is the positive root of
-    ``beta**2 + 2*beta = mu_r / (2*n*L_F)``, for which the first branch of
-    the constant collapses to ``alpha*mu_r/(2n)``, and
-
-        alpha = lambda_min_nz(I - W) / (2 * L_F * (1 + 1/beta**2))
-
-    makes the second branch equal ``alpha*L_F > 0``, so the resulting
-    constant is always strictly positive. A custom ``beta > 0`` or a custom
-    uniform ``alpha`` may be supplied instead; the constant is recomputed
-    accordingly (and validated to be positive).
-    """
-    if constants.mu_r <= 0:
-        raise ValueError("restricted path needs a positive restricted constant mu_r")
-    L_F = constants.mapping_lipschitz
-    if L_F <= 0:
-        raise ValueError("degenerate game: zero Lipschitz constant")
-    if beta is None:
-        beta = _balanced_beta(constants)
-    elif beta <= 0:
-        raise ValueError("beta must be positive")
-    culprit = f"beta={beta}" if alpha is None else f"alpha={alpha}"
-    if alpha is None:
-        alpha = mixing.lambda_min_nz_IW / (2 * L_F * (1.0 + 1.0 / beta**2))
-    mu_r_Fa = restricted_constants_at(constants, mixing, alpha, beta)
-    if mu_r_Fa <= 0:
-        raise ValueError(f"{culprit} makes the restricted constant nonpositive")
-    return RestrictedConstants(alpha=float(alpha), mu_r_Fa=float(mu_r_Fa), beta=float(beta))
-
-
 @dataclass
 class AugmentedConfig:
     """Per-player scalings and derived constants of the augmented mapping.
 
     ``mu_Fa`` is ``None`` when the strong-monotonicity conditions fail at
     this scaling, and ``mu_r_Fa`` is ``None`` on the purely strongly
-    monotone path. ``gamma`` is the condition number of the path this
-    configuration was built for.
+    monotone path.
     """
 
     alpha: np.ndarray
     L_Fa: float
     mu_Fa: float | None
     mu_r_Fa: float | None
-    gamma: float
     path: str
     beta: float | None = None
 
@@ -432,16 +379,13 @@ class AugmentedConfig:
             )
         return value
 
+    @property
+    def gamma(self) -> float:
+        """The condition number ``L_Fa / mu`` of the selected path."""
+        return self.L_Fa / self.mu
+
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha.tolist(),
-            "L_Fa": self.L_Fa,
-            "mu_Fa": self.mu_Fa,
-            "mu_r_Fa": self.mu_r_Fa,
-            "gamma": self.gamma,
-            "path": self.path,
-            "beta": self.beta,
-        }
+        return {**asdict(self), "alpha": self.alpha.tolist(), "gamma": self.gamma}
 
 
 def make_augmented_config(
@@ -455,27 +399,44 @@ def make_augmented_config(
 
     ``path='lemma2'`` uses the strong-monotonicity constant (required by the
     accelerated solver); ``alpha`` must then be a positive scalar or list.
-    ``path='lemma3'`` uses the restricted constant of
-    :func:`restricted_monotonicity`; ``alpha='remark4'`` selects its
-    automatic scaling while a numeric ``alpha`` (uniform only) is validated
-    against the same formulas.
+    ``path='lemma3'`` uses the restricted constant
+    (:func:`restricted_constants_at`) at a uniform scaling. By default
+    ``beta`` is the positive root of ``beta**2 + 2*beta = mu_r / (2*n*L_F)``,
+    which collapses the constant's first branch to ``alpha*mu_r/(2n)``, and
+    ``alpha='remark4'`` selects ``lambda_min_nz(I-W) / (2*L_F*(1 + 1/beta**2))``
+    (Remark 4), which makes the second branch ``alpha*L_F > 0``: the constant
+    is then always positive. A custom ``beta > 0`` or uniform numeric
+    ``alpha`` is checked against the same formulas instead.
     """
     if path not in ("lemma2", "lemma3"):
         raise ValueError(f"path must be 'lemma2' or 'lemma3', got {path!r}")
     if isinstance(alpha, str) and (alpha != "remark4" or path != "lemma3"):
         raise ValueError(f"alpha must be numeric, or 'remark4' on the lemma3 path, got {alpha!r}")
     constants, n = game.constants, game.n
-    rc = None
+    mu_r_Fa = None
     if path == "lemma3":
         given = None if isinstance(alpha, str) else _alpha_vector(alpha, n)
         if given is not None and np.any(given != given[0]):
             raise ValueError("alpha must be uniform on the restricted path")
-        rc = restricted_monotonicity(constants, mixing, beta, None if given is None else given[0])
-        alpha = rc.alpha
+        if constants.mu_r <= 0:
+            raise ValueError("restricted path needs a positive restricted constant mu_r")
+        L_F = constants.mapping_lipschitz
+        if L_F <= 0:
+            raise ValueError("degenerate game: zero Lipschitz constant")
+        if beta is None:
+            beta = -1.0 + np.sqrt(1.0 + constants.mu_r / (2 * n * L_F))
+        elif not beta > 0:
+            raise ValueError("beta must be positive")
+        remark4 = mixing.lambda_min_nz_IW / (2 * L_F * (1.0 + 1.0 / beta**2))
+        alpha = remark4 if given is None else given[0]
+        culprit = f"beta={beta}" if given is None else f"alpha={alpha}"
+        mu_r_Fa = restricted_constants_at(constants, mixing, alpha, beta)
+        if not mu_r_Fa > 0:
+            raise ValueError(f"{culprit} makes the restricted constant nonpositive")
     alpha_vec = _alpha_vector(alpha, n)
     L_Fa = lipschitz_constant(constants, mixing, alpha_vec)
     mu_Fa = strong_monotonicity_constant(constants, mixing, alpha_vec)
-    if rc is None and mu_Fa is None:
+    if mu_r_Fa is None and mu_Fa is None:
         raise StrongMonotonicityUnavailableError(
             "the augmented mapping is not strongly monotone for this game and "
             "scaling; switch to the lemma3 path"
@@ -484,10 +445,9 @@ def make_augmented_config(
         alpha=alpha_vec,
         L_Fa=L_Fa,
         mu_Fa=mu_Fa,
-        mu_r_Fa=None if rc is None else rc.mu_r_Fa,
-        gamma=L_Fa / (mu_Fa if rc is None else rc.mu_r_Fa),
+        mu_r_Fa=None if mu_r_Fa is None else float(mu_r_Fa),
         path=path,
-        beta=None if rc is None else rc.beta,
+        beta=None if mu_r_Fa is None else float(beta),
     )
 
 

@@ -33,6 +33,7 @@ import re
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,8 @@ from .network import (
 )
 from .solvers import (
     SolverConfig,
+    _count,
+    _tolerance,
     acc_grane_run,
     centralized_gradient_play,
     grane_run,
@@ -133,13 +136,13 @@ def _known(section, keys, where: str) -> dict:
 
 @contextmanager
 def _fields(where: str, keys=()):
-    """Re-raise a KeyError, ValueError or TypeError as a ConfigError at ``where.key`` when
-    its message starts with one of ``keys`` (as grane's messages about one argument do)."""
+    """Re-raise a KeyError, ValueError, TypeError or OverflowError as a ConfigError at
+    ``where.key`` when its message starts with one of ``keys``, else at ``where``."""
     try:
         yield
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         key = re.match(r"\w*", str(exc)).group()
         raise ConfigError(f"{where}.{key}" if key in keys else where, str(exc)) from exc
 
@@ -148,7 +151,7 @@ def build_game(section: dict) -> QuadraticGame:
     kind = _require(section, "type", "game")
     if kind == "inline":
         data = _require(_known(section, ("type", "data"), "game"), "data", "game")
-        with _fields("game.data"):
+        with _fields("game.data", ("n", "a", "b", "C", "boxes")):
             return QuadraticGame.from_json(data)
     if kind == "quadratic":
         params = {k: v for k, v in _known(section, _QUADRATIC_FIELDS, "game").items() if k != "type"}
@@ -169,7 +172,9 @@ def build_graph(section: dict, n: int) -> Graph:
         if kind == "complete":
             return complete_graph(n)
         if kind == "inline":
-            graph = Graph(n, _require(section, "edges", "graph"))
+            edges = _require(section, "edges", "graph")
+            with _fields("graph.edges"):
+                graph = Graph(n, edges)
             if not graph.is_connected():
                 raise ConfigError("graph.edges", "inline graph is not connected")
             return graph
@@ -216,7 +221,8 @@ def load_experiment(path) -> Experiment:
     graph = build_graph(_require(config, "graph", "<root>"), game.n)
     mixing = build_mixing(config["graph"], graph)
 
-    resolve = {"step": lambda step: reference_step(game, step), "max_iters": int, "tol": float}
+    resolve = {"step": partial(reference_step, game),
+               "max_iters": partial(_count, "max_iters"), "tol": partial(_tolerance, "tol")}
     section = _known(config.get("reference", {}), resolve, "reference")
     with _fields("reference", resolve):
         reference = {key: resolve[key](value) for key, value in {"step": "auto", **section}.items()}

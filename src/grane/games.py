@@ -146,6 +146,9 @@ class QuadraticGame(Game):
         n = a.size
         if b.shape != (n,) or C.shape != (n, n):
             raise ValueError("inconsistent coefficient shapes")
+        for name, value in (("a", a), ("b", b), ("C", C)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} entries must be finite numbers")
         if np.any(a <= 0):
             raise ValueError("quadratic coefficients must be strictly positive")
         if np.any(np.diag(C) != 0):
@@ -257,8 +260,8 @@ def make_quadratic_game(
         raise ValueError("n must be at least 2")
     for name, rng_ in (("a_range", a_range), ("b_range", b_range),
                        ("c_range", c_range), ("box_range", box_range)):
-        if len(rng_) != 2 or rng_[0] > rng_[1]:
-            raise ValueError(f"{name} must be a pair (lo, hi) with lo <= hi, got {rng_}")
+        if len(rng_) != 2 or not -math.inf < rng_[0] <= rng_[1] < math.inf:
+            raise ValueError(f"{name} must be a finite pair (lo, hi) with lo <= hi, got {rng_}")
     if a_range[0] <= 0:
         raise ValueError("a_range must be strictly positive")
     if box_range[0] < 0:

@@ -12,6 +12,7 @@ smallest nonzero eigenvalue.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class Graph:
             raise ValueError("graph needs at least one node")
         canon = set()
         for i, j in edges:
-            i, j = int(i), int(j)
+            i, j = operator.index(i), operator.index(j)  # a TypeError unless integers
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < n and 0 <= j < n):

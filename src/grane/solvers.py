@@ -9,10 +9,11 @@ augmented mapping ``F_a``:
   step ``mu / L**2`` of the selected monotonicity path, contracts the
   squared distance to the equilibrium matrix by ``(1 - 1/gamma**2)`` per
   iteration, ``gamma = L/mu``.
-* :func:`acc_grane_run` maintains the weighted averages of an estimate
-  sequence (weights ``lam_0 = 1``, ``lam_{k+1} = S_k / gamma``) and reaches
-  accuracy on a ``gamma`` rather than ``gamma**2`` iteration scale; it needs
-  the full strong-monotonicity constant.
+* :func:`acc_grane_run` averages an estimate sequence with the weights
+  ``lam_0 = 1``, ``lam_{k+1} = S_k / gamma``, each term after the first
+  taking the share ``1/(1 + gamma)``, and reaches accuracy on a ``gamma``
+  rather than ``gamma**2`` iteration scale; it needs the full
+  strong-monotonicity constant.
 * :func:`centralized_gradient_play` solves the underlying ``n``-dimensional
   game directly and provides the reference equilibrium for traces.
 
@@ -65,6 +66,30 @@ class DivergenceError(RuntimeError):
     numbers (step size too large)."""
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is none."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a positive int: a whole number such as ``10`` or ``1e6``."""
+    number = _number(name, value)
+    if not (number.is_integer() and number >= 1):  # NaN and infinities are not
+        raise ValueError(f"{name} must be a positive whole number, got {value!r}")
+    return int(number)
+
+
+def _tolerance(name: str, value) -> float:
+    """``value`` as a nonnegative float (NaN is not one)."""
+    tol = _number(name, value)
+    if not tol >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return tol
+
+
 @dataclass
 class SolverConfig:
     """Settings of one solver run.
@@ -90,13 +115,11 @@ class SolverConfig:
     name: str | None = None
 
     def __post_init__(self):
-        for name, cast in (("max_iters", int), ("stop_tol", float),
-                           ("trace_stride", int), ("beta", float)):
-            value = getattr(self, name)
-            try:
-                setattr(self, name, None if value is None else cast(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
+        self.max_iters = _count("max_iters", self.max_iters)
+        self.stop_tol = _tolerance("stop_tol", self.stop_tol)
+        self.trace_stride = _count("trace_stride", self.trace_stride)
+        if self.beta is not None:
+            self.beta = _number("beta", self.beta)
         if self.algorithm not in ("grane", "acc-grane"):
             raise ValueError(f"algorithm must be 'grane' or 'acc-grane', got {self.algorithm!r}")
         if self.path not in ("lemma2", "lemma3"):
@@ -107,12 +130,6 @@ class SolverConfig:
             raise ValueError("path must be 'lemma2' for acc-grane, which needs mu_Fa")
         if self.step != "auto" and (isinstance(self.step, str) or not self.step > 0):
             raise ValueError(f"step must be positive or 'auto', got {self.step!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
-        if self.trace_stride < 1:
-            raise ValueError("trace_stride must be positive")
 
     def resolve_step(self, cfg: AugmentedConfig) -> float:
         if self.step == "auto":
@@ -314,12 +331,13 @@ def acc_grane_run(
     Iteration ``k`` forms ``X_k`` by projecting the weighted average of
     ``Y_t - F_a(Y_t)/mu`` over ``t <= k`` and takes ``Y_{k+1}`` as a
     ``1/L`` gradient step from ``X_k``; the reported output is the weighted
-    average of the ``Y_t`` themselves. The running sums make each iteration
-    O(n^2) instead of re-averaging the whole history; they are jointly
-    rescaled when the geometrically growing weights approach overflow,
-    which leaves every iterate unchanged. Requires the strong-monotonicity
-    constant (``cfg.mu_Fa``). Records run over ``k = 0 .. max_iters - 1``,
-    and the iteration ``k = 0`` counts as one of the ``max_iters``.
+    average of the ``Y_t`` themselves. The weights ``lam_0 = 1``,
+    ``lam_{k+1} = S_k / gamma`` (``S_k`` their sum to ``k``) give
+    ``S_{k+1} = S_k (1 + 1/gamma)``: each new term takes the constant share
+    ``theta = 1/(1 + gamma)`` of both averages, so no weight or sum is kept.
+    Requires the strong-monotonicity constant (``cfg.mu_Fa``). Records run
+    over ``k = 0 .. max_iters - 1``, and the iteration ``k = 0`` counts as
+    one of the ``max_iters``.
     """
     if cfg.mu_Fa is None:
         raise StrongMonotonicityUnavailableError(
@@ -327,7 +345,7 @@ def acc_grane_run(
             "undefined for this configuration"
         )
     mu, L = cfg.mu_Fa, cfg.L_Fa
-    gamma = L / mu
+    theta = 1.0 / (1.0 + L / mu)
     Y = _start_matrix(game, Y0, "Y0")
     lo, hi, alpha = game.lo, game.hi, cfg.alpha
 
@@ -335,31 +353,18 @@ def acc_grane_run(
         stride=sc.trace_stride,
         metadata={"step": {"averaging": 1.0 / mu, "gradient": 1.0 / L}},
     )
-    A = np.zeros_like(Y)  # sum of lam_t * Y_t
-    B = np.zeros_like(Y)  # sum of lam_t * (Y_t - F_a(Y_t)/mu)
-    S = 0.0
-    lam_t = 1.0
+    B = Y - augmented_mapping(game, mixing, alpha, Y) / mu  # average of Y_t - F_a(Y_t)/mu
 
-    def step(_):
-        """Fold ``Y_k`` into the sums, step to ``Y_{k+1}``; returns the average."""
-        nonlocal Y, A, B, S, lam_t
-        A += lam_t * Y
-        B += lam_t * (Y - augmented_mapping(game, mixing, alpha, Y) / mu)
-        S += lam_t
-        X_k = clamp_diagonal(B / S, lo, hi)
+    def step(A):
+        """Step to ``Y_{k+1}``; fold it into ``B`` and, as a new array, into ``A``."""
+        nonlocal B
+        X_k = clamp_diagonal(B.copy(), lo, hi)
         Y = clamp_diagonal(X_k - augmented_mapping(game, mixing, alpha, X_k) / L, lo, hi)
-        y_tilde = A / S
-        lam_t = S / gamma
-        if S > 1e100:  # rescale the running sums; ratios are unaffected
-            A /= S
-            B /= S
-            lam_t /= S
-            S = 1.0
-        return y_tilde
+        B += theta * (Y - augmented_mapping(game, mixing, alpha, Y) / mu - B)
+        return A + theta * (Y - A)
 
     observe = _observer(trace, game, mixing, alpha, reference, Y)
-    y_tilde = step(None)  # iteration 0; its average is the start itself
-    y_tilde, k, _ = _iterate(step, y_tilde, sc.max_iters - 1, sc.stop_tol, observe)
+    y_tilde, k, _ = _iterate(step, Y, sc.max_iters - 1, sc.stop_tol, observe)
     trace.metadata["iterations"] = k + 1
     return y_tilde, trace
 
@@ -376,7 +381,7 @@ def reference_step(game: Game, step) -> float:
         if constants.mu_F <= 0:
             raise ValueError("step 'auto' needs mu_F > 0; supply an explicit step")
         return constants.mu_F / constants.joint_lipschitz**2
-    if not isinstance(step, (int, float)) or step <= 0:
+    if not isinstance(step, (int, float)) or not step > 0:
         raise ValueError(f"step must be positive or 'auto', got {step!r}")
     return step
 
@@ -396,9 +401,11 @@ def centralized_gradient_play(
     ``mu_F / joint_lipschitz**2``. Stops when the iterate moves by at
     most ``tol`` (0 runs all ``max_iters``). Stopping at ``max_iters`` with
     ``tol > 0`` unmet emits a ``RuntimeWarning`` giving the iteration count
-    and the last move, and still returns the last iterate.
+    and the last move, and still returns the last iterate. ``max_iters``
+    must be a positive whole number and ``tol`` nonnegative.
     """
     step = reference_step(game, step)
+    max_iters, tol = _count("max_iters", max_iters), _tolerance("tol", tol)
     lo, hi = game.lo, game.hi
     x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
     x, k, move = _iterate(

@@ -19,7 +19,6 @@ from grane import (
     make_augmented_config,
     ne_certificate,
     project_estimates,
-    restricted_monotonicity,
     strong_monotonicity_constant,
 )
 from grane import augmented
@@ -205,76 +204,86 @@ def test_strong_monotonicity_holds_with_true_modulus(g2, w2):
 # restricted path
 
 
+def restricted(game, mixing, alpha="remark4", beta=None):
+    return make_augmented_config(game, mixing, alpha=alpha, path="lemma3", beta=beta)
+
+
 def test_restricted_beta_balances_first_branch(g2r, w2):
-    rc = restricted_monotonicity(g2r.constants, w2)
+    rc = restricted(g2r, w2)
+    alpha = rc.alpha[0]
     c = g2r.constants
     n = 2
     L_F = c.mapping_lipschitz
     # the default beta solves beta^2 + 2 beta = mu_r / (2 n L_F) ...
     assert_allclose(rc.beta**2 + 2 * rc.beta, c.mu_r / (2 * n * L_F), rtol=1e-12)
     # ... which collapses the first branch to alpha*mu_r/(2n)
-    b1_direct = rc.alpha * (c.mu_r / n - L_F * (rc.beta**2 + 2 * rc.beta))
-    assert_allclose(b1_direct, rc.alpha * c.mu_r / (2 * n), rtol=1e-12)
+    b1_direct = alpha * (c.mu_r / n - L_F * (rc.beta**2 + 2 * rc.beta))
+    assert_allclose(b1_direct, alpha * c.mu_r / (2 * n), rtol=1e-12)
 
 
 def test_restricted_values_g2r(g2r, w2):
-    rc = restricted_monotonicity(g2r.constants, w2)
+    rc = restricted(g2r, w2)
     L_F = np.sqrt(13.0)
     beta = -1.0 + np.sqrt(1.0 + 2.0 / (4.0 * L_F))
     assert_allclose(rc.beta, beta, rtol=1e-12)
     assert_allclose(rc.beta, 0.06709, atol=5e-6)
     alpha = 1.0 / (2 * L_F * (1 + 1 / beta**2))
-    assert_allclose(rc.alpha, alpha, rtol=1e-12)
+    assert_allclose(rc.alpha, [alpha, alpha], rtol=1e-12)
     assert_allclose(rc.alpha, 6.213e-4, atol=1e-6)
     assert_allclose(rc.mu_r_Fa, 3.11e-4, atol=1e-6)
     # second branch equals alpha * L_F under the automatic alpha
-    b2 = w2.lambda_min_nz_IW / (1 + 1 / rc.beta**2) - rc.alpha * L_F
-    assert_allclose(b2, rc.alpha * L_F, rtol=1e-10)
-    assert rc.mu_r_Fa == pytest.approx(min(rc.alpha * 2 / 4, b2), rel=1e-12)
+    b2 = w2.lambda_min_nz_IW / (1 + 1 / rc.beta**2) - rc.alpha[0] * L_F
+    assert_allclose(b2, rc.alpha[0] * L_F, rtol=1e-10)
+    assert rc.mu_r_Fa == pytest.approx(min(rc.alpha[0] * 2 / 4, b2), rel=1e-12)
 
 
 def test_restricted_certificate_sampling(g2r, w2):
-    rc = restricted_monotonicity(g2r.constants, w2)
+    rc = restricted(g2r, w2)
+    alpha = rc.alpha[0]
     # the restricted constant is conservative: below the true modulus
-    assert rc.mu_r_Fa <= monotonicity_modulus(g2r, w2, rc.alpha)
+    assert rc.mu_r_Fa <= monotonicity_modulus(g2r, w2, alpha)
     X_star = ne_matrix(g2r)
     rng = np.random.default_rng(4)
-    Fa_star = augmented_mapping(g2r, w2, rc.alpha, X_star)
+    Fa_star = augmented_mapping(g2r, w2, alpha, X_star)
     for _ in range(1000):
         X = project_estimates(g2r.boxes, rng.uniform(-10, 10, (2, 2)))
-        lhs = np.sum((augmented_mapping(g2r, w2, rc.alpha, X) - Fa_star) * (X - X_star))
+        lhs = np.sum((augmented_mapping(g2r, w2, alpha, X) - Fa_star) * (X - X_star))
         assert lhs >= rc.mu_r_Fa * np.linalg.norm(X - X_star) ** 2 - 1e-9
 
 
 def test_restricted_explicit_alpha_matches_formula(g2r, w2):
-    auto = restricted_monotonicity(g2r.constants, w2)
-    same = restricted_monotonicity(g2r.constants, w2, alpha=auto.alpha)
-    assert same == auto
-    half = restricted_monotonicity(g2r.constants, w2, alpha=auto.alpha / 2)
-    direct = restricted_constants_at(g2r.constants, w2, auto.alpha / 2, auto.beta)
-    assert (half.alpha, half.mu_r_Fa, half.beta) == (auto.alpha / 2, direct, auto.beta)
+    auto = restricted(g2r, w2)
+    same = restricted(g2r, w2, alpha=auto.alpha[0])
+    assert same.to_json() == auto.to_json()
+    half = restricted(g2r, w2, alpha=auto.alpha[0] / 2)
+    direct = restricted_constants_at(g2r.constants, w2, auto.alpha[0] / 2, auto.beta)
+    assert (half.alpha[0], half.mu_r_Fa, half.beta) == (auto.alpha[0] / 2, direct, auto.beta)
     with pytest.raises(ValueError, match="^alpha=10"):
-        restricted_monotonicity(g2r.constants, w2, alpha=10.0)
+        restricted(g2r, w2, alpha=10.0)
 
 
 def test_restricted_rejects_nonpositive_inputs(w2):
     game = QuadraticGame([1.0, 1.0], [0, 0], [[0.0, 4.0], [0.0, 0.0]],
                          [BoxSet(-1, 1)] * 2)  # mu_r = 0
     with pytest.raises(ValueError):
-        restricted_monotonicity(game.constants, w2)
+        restricted(game, w2)
 
 
 def test_restricted_beta_override(g2r, w2):
-    rc_default = restricted_monotonicity(g2r.constants, w2)
-    rc_larger = restricted_monotonicity(g2r.constants, w2, beta=0.1)
+    rc_default = restricted(g2r, w2)
+    rc_larger = restricted(g2r, w2, beta=0.1)
     assert rc_larger.beta == 0.1
-    assert rc_larger.alpha > rc_default.alpha
+    assert rc_larger.alpha[0] > rc_default.alpha[0]
     assert rc_larger.mu_r_Fa > 0
-    direct = restricted_constants_at(g2r.constants, w2, rc_larger.alpha, 0.1)
+    direct = restricted_constants_at(g2r.constants, w2, rc_larger.alpha[0], 0.1)
     assert_allclose(rc_larger.mu_r_Fa, direct, rtol=1e-12)
     # a beta far past the balance point kills the first branch
     with pytest.raises(ValueError):
-        restricted_monotonicity(g2r.constants, w2, beta=0.5)
+        restricted(g2r, w2, beta=0.5)
+    # so does a beta that is not a positive number, named as such
+    for beta in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="^beta must be positive"):
+            restricted(g2r, w2, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +302,15 @@ def test_make_config_lemma2_unavailable(g2r, w2):
         make_augmented_config(g2r, w2, alpha=1.0, path="lemma2")
 
 
-def test_make_config_lemma3(g2r, w2):
-    cfg = make_augmented_config(g2r, w2, alpha="remark4", path="lemma3")
-    assert cfg.mu_r_Fa > 0
-    assert cfg.mu_Fa is None or cfg.mu_Fa > 0
-    assert cfg.gamma == cfg.L_Fa / cfg.mu_r_Fa
-    assert cfg.mu == cfg.mu_r_Fa
+def test_make_config_lemma3(g2, g2r, w2):
+    # on g2 both constants exist; the restricted path's gamma uses its own
+    for game in (g2r, g2):
+        cfg = make_augmented_config(game, w2, alpha="remark4", path="lemma3")
+        assert cfg.mu_r_Fa > 0
+        assert cfg.mu_Fa is None or cfg.mu_Fa > 0
+        assert cfg.gamma == cfg.L_Fa / cfg.mu_r_Fa
+        assert cfg.mu == cfg.mu_r_Fa
+    assert cfg.mu_Fa is not None and cfg.mu_Fa != cfg.mu_r_Fa
 
 
 def test_make_config_rejects_bad_combinations(g2, g2r, w2):
@@ -364,8 +376,8 @@ def test_condition_report_needs_mu_F(w2):
     game = QuadraticGame([1.0, 1.0], [0, 0], [[0.0, 4.0], [0.0, 0.0]],
                          [BoxSet(-1, 1)] * 2)
     assert game.constants.mu_F == 0.0
-    dummy = AugmentedConfig(alpha=np.ones(2), L_Fa=5.0, mu_Fa=None, mu_r_Fa=1.0,
-                            gamma=5.0, path="lemma3")
+    dummy = AugmentedConfig(alpha=np.ones(2), L_Fa=5.0, mu_Fa=None, mu_r_Fa=1.0, path="lemma3")
+    assert dummy.gamma == 5.0
     with pytest.raises(ValueError):
         condition_report(dummy, game.constants, w2)
 

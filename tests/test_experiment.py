@@ -145,6 +145,17 @@ def _output(**fields):
     return lambda config: config["output"].update(fields)
 
 
+def _reference(**fields):
+    return lambda config: config["reference"].update(fields)
+
+
+def _game_data(**fields):
+    return lambda config: config["game"]["data"].update(fields)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
 # (field the error must name, edit of g2.json): validate, run and constants
 # must each reject the edited config, naming that field
 MALFORMED = [
@@ -187,6 +198,28 @@ MALFORMED = [
     pytest.param("solvers[0].name", _solver0(name='a"b'), id="solvers[0].name-quote"),
     pytest.param("solvers[0].name", _solver0(name="a\nb"), id="solvers[0].name-newline"),
     pytest.param("solvers[0].name", _solver0(name="a\rb"), id="solvers[0].name-return"),
+    # numbers that are not finite, not whole or out of range
+    pytest.param("game.data.b", _game_data(b=[NAN, 0.0]), id="game.data.b-nan"),
+    pytest.param("game.data.a", _game_data(a=[2.0, NAN]), id="game.data.a-nan"),
+    pytest.param("game.data.C", _game_data(C=[[0.0, INF], [-1.0, 0.0]]), id="game.data.C-inf"),
+    pytest.param("game.c_range", lambda config: config.update(
+        game={"type": "quadratic", "n": 3, "seed": 1, "c_range": [NAN, NAN]}), id="game.c_range-nan"),
+    pytest.param("game.a_range", lambda config: config.update(
+        game={"type": "quadratic", "n": 3, "seed": 1, "a_range": [1, INF]}), id="game.a_range-inf"),
+    pytest.param("graph.edges", lambda config: config.update(
+        graph={"type": "inline", "edges": [[0, 1.7]]}), id="graph.edges-fraction"),
+    pytest.param("graph.edges", lambda config: config.update(
+        graph={"type": "inline", "edges": [["0", "1"]]}), id="graph.edges-string"),
+    pytest.param("solvers[0].beta", _solver0(alpha="remark4", path="lemma3", beta=NAN),
+                 id="solvers[0].beta-nan"),
+    pytest.param("solvers[0].stop_tol", _solver0(stop_tol=NAN), id="solvers[0].stop_tol-nan"),
+    pytest.param("solvers[0].max_iters", _solver0(max_iters=10.5), id="solvers[0].max_iters-fraction"),
+    pytest.param("solvers[0].trace_stride", _solver0(trace_stride=3.7),
+                 id="solvers[0].trace_stride-fraction"),
+    pytest.param("reference.step", _reference(step=NAN), id="reference.step-nan"),
+    pytest.param("reference.tol", _reference(tol=NAN), id="reference.tol-nan"),
+    pytest.param("reference.tol", _reference(tol=-1), id="reference.tol-negative"),
+    pytest.param("reference.max_iters", _reference(max_iters=-5), id="reference.max_iters-negative"),
 ]
 
 
@@ -199,6 +232,7 @@ def test_malformed_config_rejected_everywhere(tmp_path, capsys, fieldname, edit)
     report = validate_config(path)
     assert [issue.split(": ")[0] for issue in report.issues] == [fieldname]
     out_dir = tmp_path / "out"
+    assert main(["validate", str(path)]) == EXIT_CONFIG
     assert main(["run", str(path), "--output-dir", str(out_dir)]) == EXIT_CONFIG
     assert main(["constants", str(path)]) == EXIT_CONFIG
     assert f"invalid config: {fieldname}:" in capsys.readouterr().err

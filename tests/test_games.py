@@ -213,6 +213,10 @@ def test_invalid_ranges():
         make_quadratic_game(3, 0, a_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         make_quadratic_game(3, 0, b_range=(2.0, 1.0))
+    for name in ("a_range", "b_range", "c_range", "box_range"):
+        for bad in ((np.nan, np.nan), (1.0, np.inf), (-np.inf, 1.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite pair"):
+                make_quadratic_game(3, 0, **{name: bad})
 
 
 def test_quadratic_validation():
@@ -220,6 +224,13 @@ def test_quadratic_validation():
         QuadraticGame([1.0, -1.0], [0, 0], np.zeros((2, 2)), [BoxSet(0, 1)] * 2)
     with pytest.raises(ValueError):
         QuadraticGame([1.0, 1.0], [0, 0], [[1.0, 0], [0, 1.0]], [BoxSet(0, 1)] * 2)
+    # every coefficient must be finite, each named in its message
+    for name, a, b, C in (("a", [1.0, np.nan], [0, 0], np.zeros((2, 2))),
+                          ("a", [1.0, np.inf], [0, 0], np.zeros((2, 2))),
+                          ("b", [1.0, 1.0], [np.nan, 0], np.zeros((2, 2))),
+                          ("C", [1.0, 1.0], [0, 0], [[0.0, -np.inf], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite"):
+            QuadraticGame(a, b, C, [BoxSet(0, 1)] * 2)
 
 
 def test_json_roundtrip(g2r):

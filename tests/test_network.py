@@ -31,6 +31,11 @@ def test_graph_rejects_self_loop_and_range():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
+    # node ids are integers, never truncated floats or parsed strings
+    for edges in ([("0", "1")], [(1, 2.9)], [(0, np.float64(1.0))]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Graph(3, edges)
+    assert Graph(3, [(np.int64(0), 1), (1, 2)]).edges == ((0, 1), (1, 2))
 
 
 def test_graph_connectivity():

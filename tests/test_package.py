@@ -1,5 +1,7 @@
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,9 +11,14 @@ import grane
 
 MODULES = ["augmented", "experiment", "games", "network", "solvers"]
 
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
 # names the package no longer defines, as (owner, attribute)
 REMOVED = [
     ("augmented", "consensual_part"),
+    ("augmented", "restricted_monotonicity"),
+    ("augmented", "RestrictedConstants"),
     ("games", "project_box"),
     ("solvers", "acceleration_weights"),
     ("games.BoxSet", "bounded"),
@@ -57,3 +64,13 @@ def test_modules_import_only_numpy_and_the_standard_library():
                 continue
             stray += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert not stray
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # an empty working directory: demos write their outputs (benchmark20_out/,
+    # trace CSVs) into it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr

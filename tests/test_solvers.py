@@ -1,8 +1,9 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -116,8 +117,7 @@ def test_grane_step_matches_rowwise_oracle(n, seed, topology, antisymmetric):
     lam = float(rng.uniform(0.01, 0.5))
     X0 = project_estimates(game.boxes, rng.uniform(-12, 12, size=(n, n)))
     # the step is explicit, so the constants only label the run
-    cfg = AugmentedConfig(alpha=alpha, L_Fa=1.0, mu_Fa=1.0, mu_r_Fa=None, gamma=1.0,
-                          path="lemma2")
+    cfg = AugmentedConfig(alpha=alpha, L_Fa=1.0, mu_Fa=1.0, mu_r_Fa=None, path="lemma2")
     X1, trace = grane_run(game, mixing, cfg, SolverConfig(step=lam, max_iters=1), X0=X0)
     assert trace.metadata["iterations"] == 1
     assert_allclose(X1, grane_player_step(game, mixing, alpha, lam, X0), rtol=0, atol=1e-12)
@@ -133,10 +133,13 @@ def test_grane_rejects_infeasible_start(g2_setup):
 
 def test_grane_stop_tol(g2_setup):
     game, mixing, cfg, X_star = g2_setup
-    _, trace = grane_run(game, mixing, cfg,
-                         SolverConfig(max_iters=5000, stop_tol=1e-10),
-                         reference=X_star)
-    assert trace.metadata["iterations"] < 5000
+    for run, algorithm in ((grane_run, "grane"), (acc_grane_run, "acc-grane")):
+        X, trace = run(game, mixing, cfg,
+                       SolverConfig(algorithm=algorithm, max_iters=5000, stop_tol=1e-10),
+                       reference=X_star)
+        assert trace.metadata["iterations"] < 5000
+        # the move is measured against the previous iterate, so the stop is a converged one
+        assert np.linalg.norm(X - X_star) <= 1e-6 * trace.dense_fro[0]
 
 
 def test_grane_divergence_guard(g2_setup):
@@ -181,29 +184,50 @@ def test_runs_are_reproducible(g2_setup):
 # accelerated gradient play
 
 
-def test_acceleration_weight_schedule(g2_setup):
-    # with gamma = 2 the weights lam_0 = 1, lam_{k+1} = S_k / gamma are
-    # (1, 0.5, 0.75, 1.125); the fourth output is the average of Y_0..Y_3
-    # under them
-    game, mixing, cfg, _ = g2_setup
-    L = cfg.L_Fa
-    cfg.mu_Fa = L / 2
-    Y0 = project_estimates(game.boxes, np.zeros((2, 2)))
-    y3, _ = acc_grane_run(game, mixing, cfg,
-                          SolverConfig(algorithm="acc-grane", max_iters=4), Y0=Y0)
+def paper_weights(gamma, count):
+    """The first ``count`` averaging weights ``lam_0 = 1``, ``lam_{k+1} = S_k / gamma``,
+    ``S_k`` the sum of ``lam_0 .. lam_k``."""
+    weights = [1.0]
+    while len(weights) < count:
+        weights.append(sum(weights) / gamma)
+    return weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(1.0, 200.0),
+    iters=st.integers(1, 40),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(gamma=2.0, iters=4, n=2, seed=0)
+def test_acceleration_weight_schedule(gamma, iters, n, seed):
+    # the output after iteration k - 1 is the average of Y_0 .. Y_{k-1} under
+    # the paper's weights, the running sums formed as written
+    assert paper_weights(2.0, 4) == [1.0, 0.5, 0.75, 1.125]
+    game = make_quadratic_game(n, seed)
+    mixing = mixing_from_laplacian(random_tree(n, seed))
+    cfg = make_augmented_config(game, mixing, alpha=1.0, path="lemma2")
+    cfg = dataclasses.replace(cfg, mu_Fa=cfg.L_Fa / gamma)
+    mu, L = cfg.mu_Fa, cfg.L_Fa
+    rng = np.random.default_rng(seed)
+    Y0 = project_estimates(game.boxes, rng.uniform(-5, 5, size=(n, n)))
+    y, trace = acc_grane_run(game, mixing, cfg,
+                             SolverConfig(algorithm="acc-grane", max_iters=iters), Y0=Y0)
+    assert trace.metadata["iterations"] == iters
 
     def F(X):
         return augmented_mapping(game, mixing, 1.0, X)
 
-    weights = [1.0, 0.5, 0.75, 1.125]
+    weights = paper_weights(gamma, iters)
     Y = [Y0]
-    B = np.zeros((2, 2))
-    for t, lam in enumerate(weights):
-        B += lam * (Y[t] - 2 * F(Y[t]) / L)
+    B = np.zeros((n, n))
+    for t, lam in enumerate(weights[:-1]):
+        B += lam * (Y[t] - F(Y[t]) / mu)
         X = project_estimates(game.boxes, B / sum(weights[: t + 1]))
         Y.append(project_estimates(game.boxes, X - F(X) / L))
     expected = sum(lam * Y_t for lam, Y_t in zip(weights, Y)) / sum(weights)
-    assert_allclose(y3, expected, atol=1e-14)
+    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_acc_equilibrium_is_fixed_point(g2_setup):
@@ -232,7 +256,6 @@ def test_acc_two_step_unroll_with_unit_gamma(g2_setup):
     L = cfg.L_Fa
     unit = make_augmented_config(game, mixing, alpha=1.0, path="lemma2")
     unit.mu_Fa = L
-    unit.gamma = 1.0
     Y0 = project_estimates(game.boxes, np.zeros((2, 2)))
     y1, _ = acc_grane_run(game, mixing, unit,
                           SolverConfig(algorithm="acc-grane", max_iters=2), Y0=Y0)
@@ -249,7 +272,6 @@ def test_acc_requires_strong_monotonicity(g2r, w2):
 
 
 def test_acc_weight_rescaling_keeps_iterates(g2_setup):
-    # force the rescale branch with a tiny gamma and a long run
     game, mixing, cfg, X_star = g2_setup
     y, _ = acc_grane_run(game, mixing, cfg,
                          SolverConfig(algorithm="acc-grane", max_iters=3000),
@@ -289,6 +311,15 @@ def test_centralized_warns_when_unconverged(g2):
         warnings.simplefilter("error")
         centralized_gradient_play(g2, max_iters=5, tol=0.0)
         centralized_gradient_play(g2)
+
+
+def test_centralized_rejects_bad_limits(g2):
+    for kwargs, message in (({"max_iters": -5}, "^max_iters must be a positive whole number"),
+                            ({"max_iters": 10.5}, "^max_iters must be a positive whole number"),
+                            ({"tol": -1.0}, "^tol must be nonnegative"),
+                            ({"tol": float("nan")}, "^tol must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            centralized_gradient_play(g2, **kwargs)
 
 
 def test_centralized_divergence(g2):
@@ -435,6 +466,12 @@ def test_solver_config_coerces_numbers():
     for name in ("max_iters", "stop_tol", "trace_stride", "beta"):
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             SolverConfig(**{name: "x"})
+    # counts are never truncated, and NaN is no tolerance
+    for name, value in (("max_iters", 10.5), ("trace_stride", 3.7), ("max_iters", float("inf"))):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive whole number"):
+            SolverConfig(**{name: value})
+    with pytest.raises(ValueError, match="^stop_tol must be nonnegative"):
+        SolverConfig(stop_tol=float("nan"))
 
 
 def test_solver_config_validation():
