@@ -44,7 +44,7 @@ from .augmented import (
     consensual_matrix,
     make_augmented_config,
 )
-from .games import QuadraticGame, clamp, make_quadratic_game
+from .games import QuadraticGame, _whole, clamp, make_quadratic_game
 from .network import (
     Graph,
     complete_graph,
@@ -56,7 +56,6 @@ from .network import (
 )
 from .solvers import (
     SolverConfig,
-    _count,
     _tolerance,
     acc_grane_run,
     centralized_gradient_play,
@@ -156,17 +155,17 @@ def build_game(section: dict) -> QuadraticGame:
     if kind == "quadratic":
         params = {k: v for k, v in _known(section, _QUADRATIC_FIELDS, "game").items() if k != "type"}
         with _fields("game", _QUADRATIC_FIELDS):
-            params["n"] = int(_require(section, "n", "game"))
-            params["seed"] = int(_require(section, "seed", "game"))
+            params["n"] = _whole("n", _require(section, "n", "game"))
+            params["seed"] = _whole("seed", _require(section, "seed", "game"), low=0)
             return make_quadratic_game(**params)
     raise ConfigError("game.type", f"unknown game type {kind!r}")
 
 
 def build_graph(section: dict, n: int) -> Graph:
     kind = _require(_known(section, _GRAPH_FIELDS, "graph"), "type", "graph")
-    with _fields("graph"):
+    with _fields("graph", ("seed",)):
         if kind == "tree":
-            return random_tree(n, int(_require(section, "seed", "graph")))
+            return random_tree(n, _whole("seed", _require(section, "seed", "graph"), low=0))
         if kind == "path":
             return path_graph(n)
         if kind == "complete":
@@ -222,7 +221,7 @@ def load_experiment(path) -> Experiment:
     mixing = build_mixing(config["graph"], graph)
 
     resolve = {"step": partial(reference_step, game),
-               "max_iters": partial(_count, "max_iters"), "tol": partial(_tolerance, "tol")}
+               "max_iters": partial(_whole, "max_iters"), "tol": partial(_tolerance, "tol")}
     section = _known(config.get("reference", {}), resolve, "reference")
     with _fields("reference", resolve):
         reference = {key: resolve[key](value) for key, value in {"step": "auto", **section}.items()}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,32 @@ def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([b.lo for b in boxes], dtype=float)
     hi = np.array([b.hi for b in boxes], dtype=float)
     return lo, hi
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is none."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _whole(name: str, value, low: int = 1) -> int:
+    """``value`` as an int of at least ``low`` (1 or 0): an integer, or a
+    whole float such as ``1e6``. A bool or a fraction is a ValueError naming
+    ``name``, never truncated."""
+    if isinstance(value, (bool, np.bool_)):
+        whole = None
+    else:
+        try:
+            whole = operator.index(value)  # exact at any size
+        except TypeError:
+            number = _number(name, value)
+            whole = int(number) if number.is_integer() else None  # NaN and infinities are not
+    if whole is None or whole < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} whole number, got {value!r}")
+    return whole
 
 
 def clamp(v: np.ndarray, lo, hi) -> np.ndarray:
@@ -198,9 +225,10 @@ class QuadraticGame(Game):
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadraticGame":
+        n = _whole("n", data["n"])
         boxes = [BoxSet(float(lo), float(hi)) for lo, hi in data["boxes"]]
         game = cls(data["a"], data["b"], data["C"], boxes)
-        if game.n != int(data["n"]):
+        if game.n != n:
             raise ValueError("declared player count does not match coefficients")
         return game
 

@@ -17,6 +17,14 @@ augmented mapping ``F_a``:
 * :func:`centralized_gradient_play` solves the underlying ``n``-dimensional
   game directly and provides the reference equilibrium for traces.
 
+Both distributed solvers form every gradient step ``X - s * F_a(X)``
+through :func:`~grane.augmented.gradient_map`: for a quadratic game of at
+most ``N_AFFINE`` (12) players that is one product with a dense
+``n**2 x n**2`` operator built once per run, which agrees with the
+structured form to rounding; larger games evaluate ``F_a`` as written.
+Residual records always evaluate ``F_a`` itself, so the ``vi_residual``
+checks the step independently.
+
 Each solver only supplies its step; one driver, :func:`_iterate`, counts the
 iterations, measures the iterate movement, guards against divergence,
 applies the stopping tolerance and hands every iterate to the trace. Every
@@ -38,9 +46,10 @@ from .augmented import (
     augmented_mapping,
     clamp_diagonal,
     consensus_gap,
+    gradient_map,
     is_feasible_estimate,
 )
-from .games import Game, clamp
+from .games import Game, _number, _whole, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -66,22 +75,6 @@ class DivergenceError(RuntimeError):
     numbers (step size too large)."""
 
 
-def _number(name: str, value) -> float:
-    """``value`` as a float; a ValueError naming ``name`` if it is none."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
-def _count(name: str, value) -> int:
-    """``value`` as a positive int: a whole number such as ``10`` or ``1e6``."""
-    number = _number(name, value)
-    if not (number.is_integer() and number >= 1):  # NaN and infinities are not
-        raise ValueError(f"{name} must be a positive whole number, got {value!r}")
-    return int(number)
-
-
 def _tolerance(name: str, value) -> float:
     """``value`` as a nonnegative float (NaN is not one)."""
     tol = _number(name, value)
@@ -98,7 +91,8 @@ class SolverConfig:
     selected path; ``acc-grane`` takes its two steps from the constants and
     needs ``step='auto'`` and ``path='lemma2'``. ``alpha`` is a uniform
     value, an explicit per-player list, or ``'remark4'`` for the automatic
-    restricted-path scaling; ``beta`` optionally overrides its balance parameter.
+    restricted-path scaling; ``beta`` optionally overrides its balance
+    parameter (lemma3 only).
     ``stop_tol`` stops the run early once the iterate movement falls below
     it (0 disables). Full residual records are kept every ``trace_stride``
     iterations; the cheap distance-to-reference history is always dense.
@@ -115,9 +109,9 @@ class SolverConfig:
     name: str | None = None
 
     def __post_init__(self):
-        self.max_iters = _count("max_iters", self.max_iters)
+        self.max_iters = _whole("max_iters", self.max_iters)
         self.stop_tol = _tolerance("stop_tol", self.stop_tol)
-        self.trace_stride = _count("trace_stride", self.trace_stride)
+        self.trace_stride = _whole("trace_stride", self.trace_stride)
         if self.beta is not None:
             self.beta = _number("beta", self.beta)
         if self.algorithm not in ("grane", "acc-grane"):
@@ -128,7 +122,7 @@ class SolverConfig:
             raise ValueError("step must be 'auto' for acc-grane, which steps by 1/mu and 1/L")
         if self.algorithm == "acc-grane" and self.path != "lemma2":
             raise ValueError("path must be 'lemma2' for acc-grane, which needs mu_Fa")
-        if self.step != "auto" and (isinstance(self.step, str) or not self.step > 0):
+        if self.step != "auto" and (isinstance(self.step, (str, bool)) or not self.step > 0):
             raise ValueError(f"step must be positive or 'auto', got {self.step!r}")
 
     def resolve_step(self, cfg: AugmentedConfig) -> float:
@@ -306,13 +300,14 @@ def grane_run(
     """
     X = _start_matrix(game, X0, "X0")
     lam = sc.resolve_step(cfg)
-    lo, hi, alpha = game.lo, game.hi, cfg.alpha
+    lo, hi = game.lo, game.hi
+    gradient_step = gradient_map(game, mixing, cfg.alpha, lam)
 
     def step(X):
-        return clamp_diagonal(X - lam * augmented_mapping(game, mixing, alpha, X), lo, hi)
+        return clamp_diagonal(gradient_step(X), lo, hi)
 
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": lam})
-    observe = _observer(trace, game, mixing, alpha, reference, X)
+    observe = _observer(trace, game, mixing, cfg.alpha, reference, X)
     X, k, _ = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
     trace.metadata["iterations"] = k
     return X, trace
@@ -347,23 +342,25 @@ def acc_grane_run(
     mu, L = cfg.mu_Fa, cfg.L_Fa
     theta = 1.0 / (1.0 + L / mu)
     Y = _start_matrix(game, Y0, "Y0")
-    lo, hi, alpha = game.lo, game.hi, cfg.alpha
+    lo, hi = game.lo, game.hi
+    averaging_step = gradient_map(game, mixing, cfg.alpha, mu, reciprocal=True)
+    gradient_step = gradient_map(game, mixing, cfg.alpha, L, reciprocal=True)
 
     trace = ConvergenceTrace(
         stride=sc.trace_stride,
         metadata={"step": {"averaging": 1.0 / mu, "gradient": 1.0 / L}},
     )
-    B = Y - augmented_mapping(game, mixing, alpha, Y) / mu  # average of Y_t - F_a(Y_t)/mu
+    B = averaging_step(Y)  # average of Y_t - F_a(Y_t)/mu
 
     def step(A):
         """Step to ``Y_{k+1}``; fold it into ``B`` and, as a new array, into ``A``."""
         nonlocal B
         X_k = clamp_diagonal(B.copy(), lo, hi)
-        Y = clamp_diagonal(X_k - augmented_mapping(game, mixing, alpha, X_k) / L, lo, hi)
-        B += theta * (Y - augmented_mapping(game, mixing, alpha, Y) / mu - B)
+        Y = clamp_diagonal(gradient_step(X_k), lo, hi)
+        B += theta * (averaging_step(Y) - B)
         return A + theta * (Y - A)
 
-    observe = _observer(trace, game, mixing, alpha, reference, Y)
+    observe = _observer(trace, game, mixing, cfg.alpha, reference, Y)
     y_tilde, k, _ = _iterate(step, Y, sc.max_iters - 1, sc.stop_tol, observe)
     trace.metadata["iterations"] = k + 1
     return y_tilde, trace
@@ -381,7 +378,7 @@ def reference_step(game: Game, step) -> float:
         if constants.mu_F <= 0:
             raise ValueError("step 'auto' needs mu_F > 0; supply an explicit step")
         return constants.mu_F / constants.joint_lipschitz**2
-    if not isinstance(step, (int, float)) or not step > 0:
+    if isinstance(step, bool) or not isinstance(step, (int, float)) or not step > 0:
         raise ValueError(f"step must be positive or 'auto', got {step!r}")
     return step
 
@@ -405,7 +402,7 @@ def centralized_gradient_play(
     must be a positive whole number and ``tol`` nonnegative.
     """
     step = reference_step(game, step)
-    max_iters, tol = _count("max_iters", max_iters), _tolerance("tol", tol)
+    max_iters, tol = _whole("max_iters", max_iters), _tolerance("tol", tol)
     lo, hi = game.lo, game.hi
     x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
     x, k, move = _iterate(

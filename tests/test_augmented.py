@@ -22,7 +22,15 @@ from grane import (
     strong_monotonicity_constant,
 )
 from grane import augmented
-from grane.augmented import is_feasible_estimate, restricted_constants_at
+from grane.augmented import (
+    N_AFFINE,
+    affine_form,
+    gradient_map,
+    is_feasible_estimate,
+    restricted_constants_at,
+)
+from grane.games import make_quadratic_game
+from grane.network import complete_graph, mixing_from_laplacian, path_graph, random_tree
 
 from conftest import linear_solve_equilibrium
 
@@ -53,6 +61,34 @@ def test_local_gradients_decoupled_depend_on_diagonal_only():
 def test_augmented_mapping_value(g2, w2):
     Fa = augmented_mapping(g2, w2, [1.0, 1.0], np.eye(2))
     assert_allclose(Fa, [[0.5, -0.5], [-0.5, 2.5]], atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, N_AFFINE + 2),
+    seed=st.integers(0, 2**32 - 1),
+    topology=st.sampled_from(["path", "tree", "complete"]),
+    antisymmetric=st.booleans(),
+)
+def test_affine_form_matches_augmented_mapping(n, seed, topology, antisymmetric):
+    game = make_quadratic_game(n, seed, c_range=(-1.0, 1.0), antisymmetric=antisymmetric)
+    graph = {"path": path_graph(n), "tree": random_tree(n, seed), "complete": complete_graph(n)}
+    mixing = mixing_from_laplacian(graph[topology])
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.01, 2.0, size=n)
+    X = rng.uniform(-12, 12, size=(n, n))
+    J, f0 = affine_form(game, mixing, alpha)
+    F = augmented_mapping(game, mixing, alpha, X)
+    # relative to the sum of the magnitudes of the terms, the scale of rounding
+    scale = np.linalg.norm(np.abs(J) @ np.abs(X.ravel()) + np.abs(f0))
+    assert np.linalg.norm(J @ X.ravel() + f0 - F.ravel()) <= 1e-13 * scale
+    # the gradient steps, dense up to N_AFFINE and structured past it
+    s = float(rng.uniform(0.01, 2.0))
+    for step, expected in ((gradient_map(game, mixing, alpha, s), X - s * F),
+                           (gradient_map(game, mixing, alpha, s, reciprocal=True), X - F / s)):
+        Y = step(X)
+        assert Y.flags.c_contiguous and not np.shares_memory(Y, X)
+        assert np.linalg.norm(Y - expected) <= 1e-13 * (np.linalg.norm(X) + scale * max(s, 1 / s))
 
 
 def test_augmented_mapping_zero_at_equilibrium(g2, w2):
@@ -320,6 +356,10 @@ def test_make_config_rejects_bad_combinations(g2, g2r, w2):
         make_augmented_config(g2r, w2, alpha=[1.0, 2.0], path="lemma3")
     with pytest.raises(ValueError):
         make_augmented_config(g2, w2, alpha=1.0, path="lemma1")
+    # beta belongs to the restricted constant: on lemma2 even a valid one is refused
+    for beta in (0.1, -3.0, float("nan")):
+        with pytest.raises(ValueError, match="^beta only applies to the lemma3 path"):
+            make_augmented_config(g2, w2, alpha=1.0, path="lemma2", beta=beta)
     with pytest.raises(ValueError, match="^alpha must be a number or a list of 2"):
         make_augmented_config(g2, w2, alpha=[1.0, 1.0, 1.0], path="lemma2")
     # an explicit alpha far too large for the restricted formulas

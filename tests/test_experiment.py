@@ -93,6 +93,15 @@ def test_build_game_inline_and_quadratic():
     assert game2.n == 6
     with pytest.raises(ConfigError):
         build_game({"type": "cubic"})
+    # whole floats are counts; fractions and booleans are not truncated
+    assert build_game({"type": "quadratic", "n": 6.0, "seed": 1e0}).dumps() == game2.dumps()
+    for fieldname, section in (("game.n", {"n": 2.5, "seed": 1}), ("game.n", {"n": True, "seed": 1}),
+                               ("game.seed", {"n": 3, "seed": 1.5}),
+                               ("game.seed", {"n": 3, "seed": False}),
+                               ("game.seed", {"n": 3, "seed": -1})):
+        with pytest.raises(ConfigError) as info:
+            build_game({"type": "quadratic", **section})
+        assert info.value.field == fieldname
 
 
 def test_build_graph_variants():
@@ -105,6 +114,12 @@ def test_build_graph_variants():
         build_graph({"type": "inline", "edges": [[0, 1]]}, 3)  # disconnected
     with pytest.raises(ConfigError):
         build_graph({"type": "tree"}, 5)  # missing seed
+    assert build_graph({"type": "tree", "seed": 7.0}, 5).edges == build_graph(
+        {"type": "tree", "seed": 7}, 5).edges
+    for seed in (7.9, True, -1):
+        with pytest.raises(ConfigError) as info:
+            build_graph({"type": "tree", "seed": seed}, 5)
+        assert info.value.field == "graph.seed"
 
 
 def test_build_mixing_variants():
@@ -151,6 +166,10 @@ def _reference(**fields):
 
 def _game_data(**fields):
     return lambda config: config["game"]["data"].update(fields)
+
+
+def _quadratic(**fields):
+    return lambda config: config.update(game={"type": "quadratic", **fields})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -220,6 +239,19 @@ MALFORMED = [
     pytest.param("reference.tol", _reference(tol=NAN), id="reference.tol-nan"),
     pytest.param("reference.tol", _reference(tol=-1), id="reference.tol-negative"),
     pytest.param("reference.max_iters", _reference(max_iters=-5), id="reference.max_iters-negative"),
+    # counts and seeds that are fractions or booleans, and steps that are booleans
+    pytest.param("game.n", _quadratic(n=3.7, seed=1), id="game.n-fraction"),
+    pytest.param("game.n", _quadratic(n=True, seed=1), id="game.n-bool"),
+    pytest.param("game.seed", _quadratic(n=3, seed=1.5), id="game.seed-fraction"),
+    pytest.param("game.data.n", _game_data(n=2.5), id="game.data.n-fraction"),
+    pytest.param("graph.seed", lambda config: config.update(graph={"type": "tree", "seed": 7.9}),
+                 id="graph.seed-fraction"),
+    pytest.param("solvers[0].max_iters", _solver0(max_iters=True), id="solvers[0].max_iters-bool"),
+    pytest.param("solvers[0].step", _solver0(step=True), id="solvers[0].step-bool"),
+    pytest.param("reference.step", _reference(step=True), id="reference.step-bool"),
+    # a beta on the lemma2 path, which has none
+    pytest.param("solvers[0].beta", _solver0(beta=NAN), id="solvers[0].beta-lemma2-nan"),
+    pytest.param("solvers[0].beta", _solver0(beta=-3), id="solvers[0].beta-lemma2-negative"),
 ]
 
 

@@ -238,6 +238,11 @@ def test_json_roundtrip(g2r):
     assert clone.dumps() == g2r.dumps()
     assert_allclose(clone.coupling, g2r.coupling)
     assert clone.boxes == g2r.boxes
+    # the declared count is a whole number, never truncated
+    assert QuadraticGame.from_json({**g2r.to_json(), "n": 2.0}).dumps() == g2r.dumps()
+    for n in (2.5, True, 0):
+        with pytest.raises(ValueError, match="^n must be a positive whole number"):
+            QuadraticGame.from_json({**g2r.to_json(), "n": n})
 
 
 def test_quadratic_constants_function_matches_attribute(g2):

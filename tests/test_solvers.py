@@ -28,6 +28,8 @@ from grane import (
     random_tree,
     residual_metrics,
 )
+from grane.augmented import N_AFFINE, clamp_diagonal
+from grane.experiment import bundled_config, load_experiment
 from grane.games import clamp
 from grane.solvers import reference_step
 
@@ -101,9 +103,13 @@ def test_rowwise_update_matches_matrix_form(g2_setup, benchmark20):
             assert_allclose(by_player, by_matrix, atol=1e-12)
 
 
+# sizes on both sides of N_AFFINE, so that the dense and the structured step meet the oracles
+SIZES = st.integers(2, N_AFFINE + 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(2, 8),
+    n=SIZES,
     seed=st.integers(0, 2**32 - 1),
     topology=st.sampled_from(["path", "tree", "complete"]),
     antisymmetric=st.booleans(),
@@ -121,6 +127,34 @@ def test_grane_step_matches_rowwise_oracle(n, seed, topology, antisymmetric):
     X1, trace = grane_run(game, mixing, cfg, SolverConfig(step=lam, max_iters=1), X0=X0)
     assert trace.metadata["iterations"] == 1
     assert_allclose(X1, grane_player_step(game, mixing, alpha, lam, X0), rtol=0, atol=1e-12)
+
+
+def test_affine_step_drift_on_g2r():
+    # g2r takes the dense step; over 1e5 steps its distances to the
+    # equilibrium stay within 1e-11 of the start residual of those of the
+    # structured step, written out here
+    exp = load_experiment(bundled_config("g2r.json"))
+    game, mixing = exp.game, exp.mixing
+    sc, cfg = exp.solvers[0]
+    assert game.n <= N_AFFINE
+    X_star = consensual_matrix(centralized_gradient_play(game, **exp.reference))
+    steps = 100_000
+    sc = dataclasses.replace(sc, max_iters=steps, trace_stride=steps)
+    _, trace = grane_run(game, mixing, cfg, sc, reference=X_star)
+    lam = sc.resolve_step(cfg)
+    X = clamp_diagonal(np.zeros((game.n, game.n)), game.lo, game.hi)
+    structured = [np.linalg.norm(X - X_star)]
+    for _ in range(steps):
+        X = clamp_diagonal(X - lam * augmented_mapping(game, mixing, cfg.alpha, X), game.lo, game.hi)
+        structured.append(np.linalg.norm(X - X_star))
+    dense, structured = np.asarray(trace.dense_fro), np.asarray(structured)
+    assert np.max(np.abs(dense - structured)) <= 1e-11 * structured[0]
+    # criterion 4 checks r2[k+1] <= factor * r2[k] + 1e-12; the drift moves
+    # each side of that check by a hundredth of the slack at most
+    factor = 1.0 - (cfg.mu_r_Fa / cfg.L_Fa) ** 2
+    margin = dense[1:] ** 2 - factor * dense[:-1] ** 2
+    margin_structured = structured[1:] ** 2 - factor * structured[:-1] ** 2
+    assert np.max(np.abs(margin - margin_structured)) <= 1e-14
 
 
 def test_grane_rejects_infeasible_start(g2_setup):
@@ -197,7 +231,7 @@ def paper_weights(gamma, count):
 @given(
     gamma=st.floats(1.0, 200.0),
     iters=st.integers(1, 40),
-    n=st.integers(2, 5),
+    n=SIZES,
     seed=st.integers(0, 2**32 - 1),
 )
 @example(gamma=2.0, iters=4, n=2, seed=0)
@@ -316,6 +350,8 @@ def test_centralized_warns_when_unconverged(g2):
 def test_centralized_rejects_bad_limits(g2):
     for kwargs, message in (({"max_iters": -5}, "^max_iters must be a positive whole number"),
                             ({"max_iters": 10.5}, "^max_iters must be a positive whole number"),
+                            ({"max_iters": True}, "^max_iters must be a positive whole number"),
+                            ({"step": True}, "^step must be positive or 'auto', got True"),
                             ({"tol": -1.0}, "^tol must be nonnegative"),
                             ({"tol": float("nan")}, "^tol must be nonnegative")):
         with pytest.raises(ValueError, match=message):
@@ -467,11 +503,15 @@ def test_solver_config_coerces_numbers():
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             SolverConfig(**{name: "x"})
     # counts are never truncated, and NaN is no tolerance
-    for name, value in (("max_iters", 10.5), ("trace_stride", 3.7), ("max_iters", float("inf"))):
+    for name, value in (("max_iters", 10.5), ("trace_stride", 3.7), ("max_iters", float("inf")),
+                        ("max_iters", True), ("trace_stride", False), ("max_iters", np.True_)):
         with pytest.raises(ValueError, match=f"^{name} must be a positive whole number"):
             SolverConfig(**{name: value})
     with pytest.raises(ValueError, match="^stop_tol must be nonnegative"):
         SolverConfig(stop_tol=float("nan"))
+    assert SolverConfig(max_iters=np.int64(7), trace_stride=2**70).trace_stride == 2**70
+    with pytest.raises(ValueError, match="^step must be positive or 'auto', got True"):
+        SolverConfig(step=True)
 
 
 def test_solver_config_validation():
