@@ -21,11 +21,13 @@ network constants, bounds the resulting condition number, and provides a
 sampling-based equilibrium certificate.
 
 For a quadratic game ``F_a`` is affine on all of ``R^(n x n)``, so the step
-is one fixed affine map of the flattened matrix. :func:`gradient_map` builds
-its dense ``n**2 x n**2`` operator once (:func:`affine_form`) when
-``n <= N_AFFINE`` (12), where one matrix product beats the structured form
-by 1.5x or more; past it, and for any other :class:`Game`, the step
-evaluates :func:`augmented_mapping`.
+is one fixed affine map of the flattened matrix, and :func:`gradient_map`
+precomputes it once per step size. When ``n <= N_AFFINE`` (12) it builds
+the dense ``n**2 x n**2`` operator (:func:`affine_form`), where one matrix
+product beats the structured step by 1.5x or more. Past it the step is
+structured: one ``n x n`` product ``P X`` with ``P = I - s (I - W)``, then a
+correction of the diagonal by the row sums of ``K * X`` plus a constant.
+For any other :class:`Game` the step evaluates :func:`augmented_mapping`.
 
 :func:`consensus_gap`, the largest distance between two rows, is exact bit
 for bit at every size. Past ``n = 40`` it screens the row pairs first: Gram
@@ -291,7 +293,7 @@ def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
 
 
 # games up to this many players take gradient steps through the dense
-# n**2 x n**2 operator of F_a; past it the structured form is cheaper
+# n**2 x n**2 operator of F_a; past it the structured step is cheaper
 N_AFFINE = 12
 
 
@@ -319,14 +321,22 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, reciprocal: 
     when ``reciprocal``, as a callable that takes an ``n x n`` array and
     returns a new C-ordered one.
 
-    For a :class:`QuadraticGame` with ``n <= N_AFFINE`` the step is one
-    product with the precomputed ``I - s J`` plus ``-s f0`` (see
-    :func:`affine_form`), equal to the structured form up to rounding;
-    otherwise it is formed from :func:`augmented_mapping` exactly as
-    written.
+    For a :class:`QuadraticGame` the step is precomputed once, with ``1 / s``
+    in place of ``s`` when ``reciprocal``, and equals the formula up to
+    rounding. Up to ``N_AFFINE`` players it is one product with the dense
+    ``I - s J`` plus ``-s f0`` (see :func:`affine_form`). Past it, it is the
+    structured form ``P X - Diag(rowsum(K * X) + c)`` with
+    ``P = I - s (I - W)``, ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i``
+    and ``c = s alpha * b``: one ``n x n`` product and a correction of the
+    diagonal. For any other :class:`Game` the step is formed from
+    :func:`augmented_mapping` as written.
     """
-    if isinstance(game, QuadraticGame) and game.n <= N_AFFINE:
-        n, s = game.n, 1.0 / s if reciprocal else s
+    if not isinstance(game, QuadraticGame):
+        if reciprocal:
+            return lambda X: X - augmented_mapping(game, mixing, alpha, X) / s
+        return lambda X: X - s * augmented_mapping(game, mixing, alpha, X)
+    n, s = game.n, 1.0 / s if reciprocal else s
+    if n <= N_AFFINE:
         J, f0 = affine_form(game, mixing, alpha)
         step_matrix, offset = np.eye(n * n) - s * J, -s * f0
 
@@ -336,9 +346,16 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, reciprocal: 
             return out.reshape(n, n)
 
         return affine
-    if reciprocal:
-        return lambda X: X - augmented_mapping(game, mixing, alpha, X) / s
-    return lambda X: X - s * augmented_mapping(game, mixing, alpha, X)
+    scale = s * np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
+    P = np.eye(n) - s * (np.eye(n) - mixing.W)
+    K, c = scale[:, None] * game.jacobian(), scale * game.b
+
+    def structured(X):
+        out = P.dot(X)
+        out.reshape(-1)[:: n + 1] -= np.einsum("ij,ij->i", K, X) + c
+        return out
+
+    return structured
 
 
 # ---------------------------------------------------------------------------

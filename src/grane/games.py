@@ -57,7 +57,10 @@ def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _number(name: str, value) -> float:
-    """``value`` as a float; a ValueError naming ``name`` if it is none."""
+    """``value`` as a float; a ValueError naming ``name`` if it is none.
+    Text is none, even when ``float()`` would parse it."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -82,9 +85,17 @@ def _whole(name: str, value, low: int = 1) -> int:
     return whole
 
 
+# the clip ufunc itself: ndarray.clip reaches it through a Python wrapper
+try:
+    _clip = np._core.umath.clip
+except AttributeError:  # numpy 1.x
+    _clip = np.core.umath.clip
+
+
 def clamp(v: np.ndarray, lo, hi) -> np.ndarray:
-    """Clamp the float array ``v`` into ``[lo, hi]`` in place and return it."""
-    return v.clip(lo, hi, out=v)
+    """Clamp the float array ``v`` into ``[lo, hi]`` in place and return it,
+    the same bits as ``v.clip(lo, hi, out=v)``."""
+    return _clip(v, lo, hi, out=v)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ augmented mapping ``F_a``:
   game directly and provides the reference equilibrium for traces.
 
 Both distributed solvers form every gradient step ``X - s * F_a(X)``
-through :func:`~grane.augmented.gradient_map`: for a quadratic game of at
-most ``N_AFFINE`` (12) players that is one product with a dense
-``n**2 x n**2`` operator built once per run, which agrees with the
-structured form to rounding; larger games evaluate ``F_a`` as written.
+through :func:`~grane.augmented.gradient_map`, which for a quadratic game
+precomputes the step once per run and agrees with the formula to rounding:
+up to ``N_AFFINE`` (12) players one product with a dense ``n**2 x n**2``
+operator, past it one ``n x n`` product ``(I - s (I - W)) X`` and a
+correction of the diagonal. Other games evaluate ``F_a`` as written.
 Residual records always evaluate ``F_a`` itself, so the ``vi_residual``
 checks the step independently.
 

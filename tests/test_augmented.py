@@ -65,30 +65,34 @@ def test_augmented_mapping_value(g2, w2):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(2, N_AFFINE + 2),
+    n=st.integers(2, N_AFFINE),
+    m=st.integers(N_AFFINE + 1, 30),
     seed=st.integers(0, 2**32 - 1),
     topology=st.sampled_from(["path", "tree", "complete"]),
     antisymmetric=st.booleans(),
 )
-def test_affine_form_matches_augmented_mapping(n, seed, topology, antisymmetric):
-    game = make_quadratic_game(n, seed, c_range=(-1.0, 1.0), antisymmetric=antisymmetric)
-    graph = {"path": path_graph(n), "tree": random_tree(n, seed), "complete": complete_graph(n)}
-    mixing = mixing_from_laplacian(graph[topology])
-    rng = np.random.default_rng(seed)
-    alpha = rng.uniform(0.01, 2.0, size=n)
-    X = rng.uniform(-12, 12, size=(n, n))
-    J, f0 = affine_form(game, mixing, alpha)
-    F = augmented_mapping(game, mixing, alpha, X)
-    # relative to the sum of the magnitudes of the terms, the scale of rounding
-    scale = np.linalg.norm(np.abs(J) @ np.abs(X.ravel()) + np.abs(f0))
-    assert np.linalg.norm(J @ X.ravel() + f0 - F.ravel()) <= 1e-13 * scale
-    # the gradient steps, dense up to N_AFFINE and structured past it
-    s = float(rng.uniform(0.01, 2.0))
-    for step, expected in ((gradient_map(game, mixing, alpha, s), X - s * F),
-                           (gradient_map(game, mixing, alpha, s, reciprocal=True), X - F / s)):
-        Y = step(X)
-        assert Y.flags.c_contiguous and not np.shares_memory(Y, X)
-        assert np.linalg.norm(Y - expected) <= 1e-13 * (np.linalg.norm(X) + scale * max(s, 1 / s))
+def test_affine_form_matches_augmented_mapping(n, m, seed, topology, antisymmetric):
+    # every example checks a game with the dense step (n players) and one
+    # with the structured step (m players)
+    for size in (n, m):
+        game = make_quadratic_game(size, seed, c_range=(-1.0, 1.0), antisymmetric=antisymmetric)
+        graph = {"path": path_graph, "complete": complete_graph,
+                 "tree": lambda k: random_tree(k, seed)}[topology](size)
+        mixing = mixing_from_laplacian(graph)
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.01, 2.0, size=size)
+        X = rng.uniform(-12, 12, size=(size, size))
+        J, f0 = affine_form(game, mixing, alpha)
+        F = augmented_mapping(game, mixing, alpha, X)
+        # relative to the sum of the magnitudes of the terms, the scale of rounding
+        scale = np.linalg.norm(np.abs(J) @ np.abs(X.ravel()) + np.abs(f0))
+        assert np.linalg.norm(J @ X.ravel() + f0 - F.ravel()) <= 1e-13 * scale
+        s = float(rng.uniform(0.01, 2.0))
+        for step, expected in ((gradient_map(game, mixing, alpha, s), X - s * F),
+                               (gradient_map(game, mixing, alpha, s, reciprocal=True), X - F / s)):
+            Y = step(X)
+            assert Y.flags.c_contiguous and not np.shares_memory(Y, X)
+            assert np.linalg.norm(Y - expected) <= 1e-13 * (np.linalg.norm(X) + scale * max(s, 1 / s))
 
 
 def test_augmented_mapping_zero_at_equilibrium(g2, w2):

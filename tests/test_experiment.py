@@ -252,6 +252,20 @@ MALFORMED = [
     # a beta on the lemma2 path, which has none
     pytest.param("solvers[0].beta", _solver0(beta=NAN), id="solvers[0].beta-lemma2-nan"),
     pytest.param("solvers[0].beta", _solver0(beta=-3), id="solvers[0].beta-lemma2-negative"),
+    # numbers written as text, which float() would parse
+    pytest.param("solvers[0].max_iters", _solver0(max_iters="10"), id="solvers[0].max_iters-text"),
+    pytest.param("solvers[0].trace_stride", _solver0(trace_stride="10"),
+                 id="solvers[0].trace_stride-text"),
+    pytest.param("solvers[0].stop_tol", _solver0(stop_tol="0.1"), id="solvers[0].stop_tol-text"),
+    pytest.param("solvers[0].beta", _solver0(alpha="remark4", path="lemma3", beta="0.1"),
+                 id="solvers[0].beta-text"),
+    pytest.param("reference.tol", _reference(tol="1e-3"), id="reference.tol-text"),
+    pytest.param("reference.max_iters", _reference(max_iters="100"), id="reference.max_iters-text"),
+    pytest.param("game.n", _quadratic(n="20", seed=1), id="game.n-text"),
+    pytest.param("game.seed", _quadratic(n=3, seed="7"), id="game.seed-text"),
+    pytest.param("game.data.n", _game_data(n="2"), id="game.data.n-text"),
+    pytest.param("graph.seed", lambda config: config.update(graph={"type": "tree", "seed": "7"}),
+                 id="graph.seed-text"),
 ]
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grane import (
@@ -258,3 +260,30 @@ def test_local_gradients_match_per_player(benchmark20):
     vec = game.local_gradients(X)
     by_hand = [game.mapping(X[i])[i] for i in range(game.n)]
     assert_allclose(vec, by_hand, atol=1e-12)
+
+
+# box bounds: signed zeros and infinities among them; entries: NaN too
+BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(-10.0, 10.0))
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+                    st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_clamp_is_ndarray_clip_bit_for_bit(n, data):
+    lo, hi = [], []
+    for _ in range(n):
+        first = data.draw(BOUNDS)
+        second = data.draw(st.one_of(st.just(first), BOUNDS))  # lo == hi among them
+        lo.append(min(first, second))
+        hi.append(max(first, second))
+    lo, hi = np.array(lo), np.array(hi)
+    A = np.array(data.draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    views = (lambda X: X[0], lambda X: X.reshape(-1)[:: n + 1])  # contiguous, strided diagonal
+    for view in views:
+        for bounds in ((lo, hi), (lo[0], hi[0])):
+            got, expected = A.copy(), A.copy()
+            v = view(got)
+            assert clamp(v, *bounds) is v
+            view(expected).clip(*bounds, out=view(expected))
+            assert got.tobytes() == expected.tobytes()
