@@ -20,14 +20,7 @@ strong-monotonicity and restricted-monotonicity constants from the game and
 network constants, bounds the resulting condition number, and provides a
 sampling-based equilibrium certificate.
 
-For a quadratic game ``F_a`` is affine on all of ``R^(n x n)``, so the step
-is one fixed affine map of the flattened matrix, and :func:`gradient_map`
-precomputes it once per step size. When ``n <= N_AFFINE`` (12) it builds
-the dense ``n**2 x n**2`` operator (:func:`affine_form`), where one matrix
-product beats the structured step by 1.5x or more. Past it the step is
-structured: one ``n x n`` product ``P X`` with ``P = I - s (I - W)``, then a
-correction of the diagonal by the row sums of ``K * X`` plus a constant.
-For any other :class:`Game` the step evaluates :func:`augmented_mapping`.
+The step's precomputed forms are described at :func:`gradient_map`.
 
 :func:`consensus_gap`, the largest distance between two rows, is exact bit
 for bit at every size. Past ``n = 40`` it screens the row pairs first: Gram
@@ -45,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .games import Game, QuadraticGame, box_bounds, clamp
+from .games import Game, QuadraticGame, _numbers, box_bounds, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -189,11 +182,11 @@ def _screened_max(X):
     the same factor of two or more. The factor also covers the second-order
     terms, for ``m`` far below ``1 / u``.
 
-    **Exact pass.** ``low`` is the largest lower bound ``d2_ij - margin``;
-    the largest ``f_ij`` is at least ``low``, so it lies among the pairs
-    whose upper bound ``d2_ij + margin`` reaches ``low``. Only tiles whose
-    largest upper bound reaches ``low`` are estimated again, and only their
-    pairs that reach it are formed exactly with :func:`_pairs_max`.
+    **Exact pass.** ``low`` is the largest lower bound ``d2_ij - margin`` so
+    far. Each tile raises it, then forms exactly with :func:`_pairs_max` its
+    pairs whose upper bound ``d2_ij + margin`` reaches it. ``low`` only
+    grows, so every pair reaching its final value is formed, and the largest
+    ``f_ij``, at least that value, is among them: the same bits.
     """
     n, m = X.shape
     with np.errstate(invalid="ignore", over="ignore"):
@@ -224,39 +217,30 @@ def _screened_max(X):
         c *= scale
         return c
 
-    def estimates(i, a, j, b):
-        """Estimates for rows ``a`` from ``i`` against rows ``b`` from
-        ``j >= i``, pairs not above the diagonal at -inf, and their margin."""
-        est = g[: len(a) * len(b)].reshape(len(a), len(b))
-        np.matmul(a, b.T, out=est)
-        if i == j:
-            norms[j : j + len(b)] = est.diagonal()
-        ni, nj = norms[i : i + len(a)], norms[j : j + len(b)]
-        est *= -2.0
-        est += ni[:, None]
-        est += nj
-        if i == j:
-            np.putmask(est, below[: len(a), : len(a)], -np.inf)
-        return est, rel * (ni.max() + nj.max()) + slack
-
-    low, tops = -np.inf, []
+    low, gap, formed = -np.inf, 0.0, 0
     for j in range(0, n, t):
         b = center(j, cj)
         for i in range(j, -1, -t):  # the diagonal tile first: it sets norms[j:]
-            est, margin = estimates(i, b if i == j else center(i, ci), j, b)
+            # the estimates of tile (i, j), pairs not above the diagonal at -inf
+            a = b if i == j else center(i, ci)
+            est = g[: len(a) * len(b)].reshape(len(a), len(b))
+            np.matmul(a, b.T, out=est)
+            if i == j:
+                norms[j : j + len(b)] = est.diagonal()
+            ni, nj = norms[i : i + len(a)], norms[j : j + len(b)]
+            est *= -2.0
+            est += ni[:, None]
+            est += nj
+            if i == j:
+                np.putmask(est, below[: len(a), : len(a)], -np.inf)
+            margin = rel * (ni.max() + nj.max()) + slack
             top = est.max()
             low = max(low, top - margin)
-            tops.append((i, j, top + margin))
-
-    gap, formed = 0.0, 0
-    for i, j, top in tops:
-        if top >= low:
-            b = center(j, cj)
-            est, margin = estimates(i, b if i == j else center(i, ci), j, b)
-            est += margin
-            p, q = np.nonzero(est >= low)
-            formed += p.size
-            gap = max(gap, _pairs_max(X[i:], X[j:], p, q))
+            if top + margin >= low > -np.inf:  # a one-row tile has no pairs: top is -inf
+                est += margin
+                p, q = np.nonzero(est >= low)
+                formed += p.size
+                gap = max(gap, _pairs_max(X[i:], X[j:], p, q))
     return gap, formed
 
 
@@ -274,11 +258,11 @@ def project_estimates(boxes, X) -> np.ndarray:
     return clamp_diagonal(np.array(X, dtype=float, order="C"), *box_bounds(boxes))
 
 
-def is_feasible_estimate(boxes, X, tol: float = 0.0) -> bool:
-    """Whether every diagonal entry ``X_ii`` lies in box ``i``, widened by ``tol``."""
+def is_feasible_estimate(boxes, X) -> bool:
+    """Whether every diagonal entry ``X_ii`` lies in box ``i``."""
     lo, hi = box_bounds(boxes)
     d = np.asarray(X, dtype=float).diagonal()
-    return bool(np.all((lo - tol <= d) & (d <= hi + tol)))
+    return bool(np.all((lo <= d) & (d <= hi)))
 
 
 def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
@@ -316,26 +300,22 @@ def affine_form(game: QuadraticGame, mixing: MixingMatrix, alpha):
     return J, f0
 
 
-def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, reciprocal: bool = False):
-    """The gradient step ``X -> X - s * F_a(X)``, or ``X -> X - F_a(X) / s``
-    when ``reciprocal``, as a callable that takes an ``n x n`` array and
-    returns a new C-ordered one.
+def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
+    """The gradient step ``X -> X - s * F_a(X)``, as a callable that takes an
+    ``n x n`` array and returns a new C-ordered one.
 
-    For a :class:`QuadraticGame` the step is precomputed once, with ``1 / s``
-    in place of ``s`` when ``reciprocal``, and equals the formula up to
-    rounding. Up to ``N_AFFINE`` players it is one product with the dense
-    ``I - s J`` plus ``-s f0`` (see :func:`affine_form`). Past it, it is the
-    structured form ``P X - Diag(rowsum(K * X) + c)`` with
-    ``P = I - s (I - W)``, ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i``
-    and ``c = s alpha * b``: one ``n x n`` product and a correction of the
-    diagonal. For any other :class:`Game` the step is formed from
-    :func:`augmented_mapping` as written.
+    ``F_a`` is affine for a :class:`QuadraticGame`, so its step is precomputed
+    once and equals the formula up to rounding. Up to ``N_AFFINE`` (12)
+    players, where a dense product is 1.5x faster or more, it is one product
+    with ``I - s J`` plus ``-s f0`` (see :func:`affine_form`). Past it, it is
+    the structured form ``P X - Diag(rowsum(K * X) + c)`` with
+    ``P = I - s (I - W)``, ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i`` and
+    ``c = s alpha * b``: one ``n x n`` product and a correction of the
+    diagonal. Any other :class:`Game` steps through :func:`augmented_mapping`.
     """
     if not isinstance(game, QuadraticGame):
-        if reciprocal:
-            return lambda X: X - augmented_mapping(game, mixing, alpha, X) / s
         return lambda X: X - s * augmented_mapping(game, mixing, alpha, X)
-    n, s = game.n, 1.0 / s if reciprocal else s
+    n = game.n
     if n <= N_AFFINE:
         J, f0 = affine_form(game, mixing, alpha)
         step_matrix, offset = np.eye(n * n) - s * J, -s * f0
@@ -365,9 +345,9 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, reciprocal: 
 def _alpha_vector(alpha, n: int) -> np.ndarray:
     if np.ndim(alpha) > 1 or np.size(alpha) not in (1, n):
         raise ValueError(f"alpha must be a number or a list of {n} numbers, got {alpha!r}")
-    vec = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
-    if not np.all(vec > 0):
-        raise ValueError(f"alpha entries must be strictly positive, got {alpha!r}")
+    vec = np.broadcast_to(_numbers("alpha", alpha), (n,)).copy()
+    if not np.all((vec > 0) & (vec < np.inf)):
+        raise ValueError(f"alpha entries must be strictly positive and finite, got {alpha!r}")
     return vec
 
 
@@ -625,7 +605,7 @@ def ne_certificate(
     (unbounded directions are checked through the gradient sign).
     """
     X_star = np.asarray(X_star, dtype=float)
-    if not is_feasible_estimate(game.boxes, X_star, tol=0.0):
+    if not is_feasible_estimate(game.boxes, X_star):
         raise ValueError("candidate matrix has an infeasible diagonal")
 
     gap = consensus_gap(X_star)

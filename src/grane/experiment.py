@@ -44,7 +44,7 @@ from .augmented import (
     consensual_matrix,
     make_augmented_config,
 )
-from .games import QuadraticGame, _whole, clamp, make_quadratic_game
+from .games import QuadraticGame, _tolerance, _whole, clamp, make_quadratic_game
 from .network import (
     Graph,
     complete_graph,
@@ -56,7 +56,6 @@ from .network import (
 )
 from .solvers import (
     SolverConfig,
-    _tolerance,
     acc_grane_run,
     centralized_gradient_play,
     grane_run,

@@ -58,13 +58,52 @@ def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
 
 def _number(name: str, value) -> float:
     """``value`` as a float; a ValueError naming ``name`` if it is none.
-    Text is none, even when ``float()`` would parse it."""
-    if isinstance(value, (str, bytes)):
+    Text and bools are none, even though ``float()`` would take them."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _numbers(name: str, values) -> np.ndarray:
+    """``values``, a number or a nested list of them, as a float array of
+    the same shape; an entry that :func:`_number` rejects is a ValueError."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iuf":
+        # numbers, or numbers and bools, which became 0 and 1: only entries
+        # equal to 0 or 1 can be bools
+        suspects = np.argwhere((array == 0) | (array == 1)).tolist()
+    else:  # text, bools alone or other objects
+        suspects = np.ndindex(array.shape)
+    for index in suspects:
+        entry = values
+        for k in index:
+            entry = entry[k]
+        _number(name, entry)
+    return array.astype(float)
+
+
+def _step(name: str, value):
+    """``value`` as a positive finite float, or ``'auto'`` as it is."""
+    if isinstance(value, str) and value == "auto":
+        return value
+    try:
+        step = _number(name, value)
+    except ValueError:
+        step = math.nan
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"{name} must be a positive finite number or 'auto', got {value!r}")
+    return step
+
+
+def _tolerance(name: str, value) -> float:
+    """``value`` as a nonnegative finite float."""
+    tol = _number(name, value)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    return tol
 
 
 def _whole(name: str, value, low: int = 1) -> int:
@@ -237,8 +276,8 @@ class QuadraticGame(Game):
     @classmethod
     def from_json(cls, data: dict) -> "QuadraticGame":
         n = _whole("n", data["n"])
-        boxes = [BoxSet(float(lo), float(hi)) for lo, hi in data["boxes"]]
-        game = cls(data["a"], data["b"], data["C"], boxes)
+        boxes = [BoxSet(float(lo), float(hi)) for lo, hi in _numbers("boxes", data["boxes"])]
+        game = cls(*(_numbers(key, data[key]) for key in ("a", "b", "C")), boxes)
         if game.n != n:
             raise ValueError("declared player count does not match coefficients")
         return game
@@ -297,6 +336,8 @@ def make_quadratic_game(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if not isinstance(antisymmetric, (bool, np.bool_)):
+        raise ValueError(f"antisymmetric must be true or false, got {antisymmetric!r}")
     for name, rng_ in (("a_range", a_range), ("b_range", b_range),
                        ("c_range", c_range), ("box_range", box_range)):
         if len(rng_) != 2 or not -math.inf < rng_[0] <= rng_[1] < math.inf:

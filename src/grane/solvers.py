@@ -18,11 +18,7 @@ augmented mapping ``F_a``:
   game directly and provides the reference equilibrium for traces.
 
 Both distributed solvers form every gradient step ``X - s * F_a(X)``
-through :func:`~grane.augmented.gradient_map`, which for a quadratic game
-precomputes the step once per run and agrees with the formula to rounding:
-up to ``N_AFFINE`` (12) players one product with a dense ``n**2 x n**2``
-operator, past it one ``n x n`` product ``(I - s (I - W)) X`` and a
-correction of the diagonal. Other games evaluate ``F_a`` as written.
+through :func:`~grane.augmented.gradient_map`, which describes its forms.
 Residual records always evaluate ``F_a`` itself, so the ``vi_residual``
 checks the step independently.
 
@@ -50,7 +46,7 @@ from .augmented import (
     gradient_map,
     is_feasible_estimate,
 )
-from .games import Game, _number, _whole, clamp
+from .games import Game, _number, _step, _tolerance, _whole, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -74,14 +70,6 @@ TRACE_COLUMNS = ("k", "fro_residual", "relative_error", "consensus_gap", "vi_res
 class DivergenceError(RuntimeError):
     """The iteration is growing instead of contracting, or left the finite
     numbers (step size too large)."""
-
-
-def _tolerance(name: str, value) -> float:
-    """``value`` as a nonnegative float (NaN is not one)."""
-    tol = _number(name, value)
-    if not tol >= 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
-    return tol
 
 
 @dataclass
@@ -110,6 +98,7 @@ class SolverConfig:
     name: str | None = None
 
     def __post_init__(self):
+        self.step = _step("step", self.step)
         self.max_iters = _whole("max_iters", self.max_iters)
         self.stop_tol = _tolerance("stop_tol", self.stop_tol)
         self.trace_stride = _whole("trace_stride", self.trace_stride)
@@ -123,13 +112,11 @@ class SolverConfig:
             raise ValueError("step must be 'auto' for acc-grane, which steps by 1/mu and 1/L")
         if self.algorithm == "acc-grane" and self.path != "lemma2":
             raise ValueError("path must be 'lemma2' for acc-grane, which needs mu_Fa")
-        if self.step != "auto" and (isinstance(self.step, (str, bool)) or not self.step > 0):
-            raise ValueError(f"step must be positive or 'auto', got {self.step!r}")
 
     def resolve_step(self, cfg: AugmentedConfig) -> float:
         if self.step == "auto":
             return cfg.mu / cfg.L_Fa**2
-        return float(self.step)
+        return self.step
 
 
 class ConvergenceTrace:
@@ -325,7 +312,7 @@ def acc_grane_run(
     """Run the accelerated gradient play; returns the averaged output.
 
     Iteration ``k`` forms ``X_k`` by projecting the weighted average of
-    ``Y_t - F_a(Y_t)/mu`` over ``t <= k`` and takes ``Y_{k+1}`` as a
+    ``Y_t - (1/mu) F_a(Y_t)`` over ``t <= k`` and takes ``Y_{k+1}`` as a
     ``1/L`` gradient step from ``X_k``; the reported output is the weighted
     average of the ``Y_t`` themselves. The weights ``lam_0 = 1``,
     ``lam_{k+1} = S_k / gamma`` (``S_k`` their sum to ``k``) give
@@ -344,14 +331,12 @@ def acc_grane_run(
     theta = 1.0 / (1.0 + L / mu)
     Y = _start_matrix(game, Y0, "Y0")
     lo, hi = game.lo, game.hi
-    averaging_step = gradient_map(game, mixing, cfg.alpha, mu, reciprocal=True)
-    gradient_step = gradient_map(game, mixing, cfg.alpha, L, reciprocal=True)
+    steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
+    averaging_step = gradient_map(game, mixing, cfg.alpha, steps["averaging"])
+    gradient_step = gradient_map(game, mixing, cfg.alpha, steps["gradient"])
 
-    trace = ConvergenceTrace(
-        stride=sc.trace_stride,
-        metadata={"step": {"averaging": 1.0 / mu, "gradient": 1.0 / L}},
-    )
-    B = averaging_step(Y)  # average of Y_t - F_a(Y_t)/mu
+    trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
+    B = averaging_step(Y)  # average of Y_t - (1/mu) F_a(Y_t)
 
     def step(A):
         """Step to ``Y_{k+1}``; fold it into ``B`` and, as a new array, into ``A``."""
@@ -368,19 +353,18 @@ def acc_grane_run(
 
 
 def reference_step(game: Game, step) -> float:
-    """The step of :func:`centralized_gradient_play`: ``step`` itself when
-    positive, or for ``'auto'`` ``mu_F / L**2`` with ``L`` the game's
-    ``joint_lipschitz``, an upper bound on the mapping's Lipschitz constant
-    (for a quadratic game ``min(|M|_F, sqrt(|M|_1 |M|_inf))``, ``M`` its
+    """The step of :func:`centralized_gradient_play`: ``step`` as a float
+    when positive and finite, or for ``'auto'`` ``mu_F / L**2`` with ``L``
+    the game's ``joint_lipschitz``, an upper bound on the mapping's Lipschitz
+    constant (for a quadratic game ``min(|M|_F, sqrt(|M|_1 |M|_inf))``, ``M`` its
     Jacobian). Each step then shrinks the distance to the equilibrium by a
     factor of at most ``sqrt(1 - mu_F**2 / L**2)``; needs ``mu_F > 0``."""
+    step = _step("step", step)
     if step == "auto":
         constants = game.constants
         if constants.mu_F <= 0:
             raise ValueError("step 'auto' needs mu_F > 0; supply an explicit step")
         return constants.mu_F / constants.joint_lipschitz**2
-    if isinstance(step, bool) or not isinstance(step, (int, float)) or not step > 0:
-        raise ValueError(f"step must be positive or 'auto', got {step!r}")
     return step
 
 

@@ -89,7 +89,7 @@ def test_affine_form_matches_augmented_mapping(n, m, seed, topology, antisymmetr
         assert np.linalg.norm(J @ X.ravel() + f0 - F.ravel()) <= 1e-13 * scale
         s = float(rng.uniform(0.01, 2.0))
         for step, expected in ((gradient_map(game, mixing, alpha, s), X - s * F),
-                               (gradient_map(game, mixing, alpha, s, reciprocal=True), X - F / s)):
+                               (gradient_map(game, mixing, alpha, 1 / s), X - F / s)):
             Y = step(X)
             assert Y.flags.c_contiguous and not np.shares_memory(Y, X)
             assert np.linalg.norm(Y - expected) <= 1e-13 * (np.linalg.norm(X) + scale * max(s, 1 / s))

@@ -266,6 +266,28 @@ MALFORMED = [
     pytest.param("game.data.n", _game_data(n="2"), id="game.data.n-text"),
     pytest.param("graph.seed", lambda config: config.update(graph={"type": "tree", "seed": "7"}),
                  id="graph.seed-text"),
+    # steps and tolerances that are booleans or infinite
+    pytest.param("reference.tol", _reference(tol=True), id="reference.tol-bool"),
+    pytest.param("reference.tol", _reference(tol=INF), id="reference.tol-inf"),
+    pytest.param("solvers[0].stop_tol", _solver0(stop_tol=True), id="solvers[0].stop_tol-bool"),
+    pytest.param("solvers[0].stop_tol", _solver0(stop_tol=INF), id="solvers[0].stop_tol-inf"),
+    pytest.param("solvers[0].step", _solver0(step=INF), id="solvers[0].step-inf"),
+    pytest.param("reference.step", _reference(step=INF), id="reference.step-inf"),
+    # game data, scalings and flags that are text, booleans or infinite
+    pytest.param("game.data.a", _game_data(a=["2", "2"]), id="game.data.a-text"),
+    pytest.param("game.data.a", _game_data(a=[True, True]), id="game.data.a-bool"),
+    pytest.param("game.data.a", _game_data(a=[2.0, True]), id="game.data.a-number-and-bool"),
+    pytest.param("game.data.C", _game_data(C=[[0.0, True], [-1.0, 0.0]]),
+                 id="game.data.C-number-and-bool"),
+    pytest.param("game.data.boxes", _game_data(boxes=[["-10", "10"], ["-10", "10"]]),
+                 id="game.data.boxes-text"),
+    pytest.param("game.data.boxes", _game_data(boxes=[[False, True], [False, True]]),
+                 id="game.data.boxes-bool"),
+    pytest.param("solvers[0].alpha", _solver0(alpha=["1", "1"]), id="solvers[0].alpha-text"),
+    pytest.param("solvers[0].alpha", _solver0(alpha=True), id="solvers[0].alpha-bool"),
+    pytest.param("solvers[0].alpha", _solver0(alpha=INF), id="solvers[0].alpha-inf"),
+    pytest.param("game.antisymmetric", _quadratic(n=3, seed=1, antisymmetric="no"),
+                 id="game.antisymmetric-text"),
 ]
 
 

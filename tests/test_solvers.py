@@ -11,6 +11,8 @@ from grane import (
     AugmentedConfig,
     BoxSet,
     DivergenceError,
+    Game,
+    GameConstants,
     QuadraticGame,
     SolverConfig,
     StrongMonotonicityUnavailableError,
@@ -129,9 +131,81 @@ def test_grane_step_matches_rowwise_oracle(n, m, seed, topology, antisymmetric):
         X1, trace = grane_run(game, mixing, cfg, SolverConfig(step=lam, max_iters=1), X0=X0)
         assert trace.metadata["iterations"] == 1
         assert_allclose(X1, oracle, rtol=0, atol=1e-12)
-        # the reciprocal form, as Acc-GRANE takes its steps
-        step = gradient_map(game, mixing, alpha, 1.0 / lam, reciprocal=True)
+        # a step given as a reciprocal, as Acc-GRANE's 1/mu and 1/L are
+        step = gradient_map(game, mixing, alpha, 1.0 / (1.0 / lam))
         assert_allclose(clamp_diagonal(step(X0), game.lo, game.hi), oracle, rtol=0, atol=1e-12)
+
+
+class QuarticGame(Game):
+    """A quadratic game plus the convex own cost ``q x_i**4 / 4`` of every
+    player. Its mapping is not affine, so ``gradient_map`` forms each step
+    from ``augmented_mapping``."""
+
+    def __init__(self, base: QuadraticGame, q: float):
+        self.base, self.q = base, q
+        # on the boxes, the derivative q x**3 of the new term is monotone and
+        # 3 q r**2-Lipschitz, r the largest bound in magnitude
+        r2 = np.maximum(np.abs(base.lo), np.abs(base.hi)) ** 2
+        c = base.constants
+        constants = GameConstants(mu_F=c.mu_F, L_own=c.L_own + 3 * q * r2, L_other=c.L_other,
+                                  mu_r=c.mu_r, joint_lipschitz=c.joint_lipschitz + 3 * q * r2.max())
+        super().__init__(base.n, base.boxes, constants)
+
+    def mapping(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.base.mapping(x) + self.q * x**3
+
+    def local_gradients(self, X):
+        X = np.asarray(X, dtype=float)
+        return self.base.local_gradients(X) + self.q * X.diagonal() ** 3
+
+
+@pytest.mark.parametrize("n", [3, N_AFFINE + 3])
+def test_non_quadratic_steps_follow_the_mapping(n):
+    game = QuarticGame(make_quadratic_game(n, 3, b_range=(-3, 3), box_range=(1.0, 2.0)), 0.5)
+    mixing = mixing_from_laplacian(path_graph(n))
+    cfg = make_augmented_config(game, mixing, alpha=0.3)
+    lo, hi = game.lo, game.hi
+
+    def F(X):
+        return augmented_mapping(game, mixing, cfg.alpha, X)
+
+    def close(actual, expected):
+        assert_allclose(actual, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+    # GRANE: X <- P(X - lam F_a(X))
+    sc = SolverConfig(step=0.2, max_iters=30, trace_stride=30)
+    X = clamp_diagonal(np.zeros((n, n)), lo, hi)
+    for _ in range(sc.max_iters):
+        X = clamp_diagonal(X - 0.2 * F(X), lo, hi)
+    close(grane_run(game, mixing, cfg, sc)[0], X)
+
+    # Acc-GRANE: the averages of Y_t - (1/mu) F_a(Y_t) and of Y_t, each new
+    # term with the share theta, and Y_{k+1} = P(X_k - (1/L) F_a(X_k))
+    mu, L = cfg.mu_Fa, cfg.L_Fa
+    theta = 1.0 / (1.0 + L / mu)
+    Y = clamp_diagonal(np.zeros((n, n)), lo, hi)
+    A, B = Y, Y - (1.0 / mu) * F(Y)
+    sc = SolverConfig(algorithm="acc-grane", max_iters=30, trace_stride=30)
+    for _ in range(sc.max_iters - 1):
+        X_k = clamp_diagonal(B.copy(), lo, hi)
+        Y = clamp_diagonal(X_k - (1.0 / L) * F(X_k), lo, hi)
+        B = B + theta * (Y - (1.0 / mu) * F(Y) - B)
+        A = A + theta * (Y - A)
+    y_tilde, trace = acc_grane_run(game, mixing, cfg, sc)
+    close(y_tilde, A)
+    assert trace.metadata["step"] == {"averaging": 1.0 / mu, "gradient": 1.0 / L}
+
+
+def test_non_quadratic_grane_reaches_the_centralized_point():
+    n = 3
+    game = QuarticGame(make_quadratic_game(n, 3, b_range=(-3, 3), box_range=(1.0, 2.0)), 0.5)
+    mixing = mixing_from_laplacian(path_graph(n))
+    cfg = make_augmented_config(game, mixing, alpha=0.3)
+    x_star = centralized_gradient_play(game)
+    X, trace = grane_run(game, mixing, cfg, SolverConfig(step=0.2, max_iters=10_000, stop_tol=1e-14))
+    assert trace.metadata["iterations"] < 10_000
+    assert_allclose(X, consensual_matrix(x_star), rtol=0, atol=1e-9)
 
 
 def test_affine_step_drift_on_g2r():
@@ -407,7 +481,7 @@ def test_centralized_rejects_bad_limits(g2):
     for kwargs, message in (({"max_iters": -5}, "^max_iters must be a positive whole number"),
                             ({"max_iters": 10.5}, "^max_iters must be a positive whole number"),
                             ({"max_iters": True}, "^max_iters must be a positive whole number"),
-                            ({"step": True}, "^step must be positive or 'auto', got True"),
+                            ({"step": True}, "^step must be a positive finite number or 'auto', got True"),
                             ({"tol": -1.0}, "^tol must be nonnegative"),
                             ({"tol": float("nan")}, "^tol must be nonnegative")):
         with pytest.raises(ValueError, match=message):
@@ -568,7 +642,7 @@ def test_solver_config_coerces_numbers():
     with pytest.raises(ValueError, match="^stop_tol must be nonnegative"):
         SolverConfig(stop_tol=float("nan"))
     assert SolverConfig(max_iters=np.int64(7), trace_stride=2**70).trace_stride == 2**70
-    with pytest.raises(ValueError, match="^step must be positive or 'auto', got True"):
+    with pytest.raises(ValueError, match="^step must be a positive finite number or 'auto', got True"):
         SolverConfig(step=True)
 
 
