@@ -266,12 +266,13 @@ def is_feasible_estimate(boxes, X) -> bool:
 
 
 def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
-    """Evaluate ``F_a(X) = (I - W) X + Diag(alpha * local gradients)``."""
+    """Evaluate ``F_a(X) = (I - W) X + Diag(alpha * local gradients)``, with
+    ``(I - W) X`` from :meth:`MixingMatrix.disagreement`."""
     X = np.asarray(X, dtype=float)
     n = game.n
     if X.shape != (n, n):
         raise ValueError(f"expected {n}x{n} estimate matrix, got {X.shape}")
-    out = X - mixing.W @ X
+    out = mixing.disagreement(X)
     out.reshape(-1)[:: n + 1] += np.asarray(alpha, dtype=float) * game.local_gradients(X)
     return out
 
@@ -309,9 +310,13 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
     players, where a dense product is 1.5x faster or more, it is one product
     with ``I - s J`` plus ``-s f0`` (see :func:`affine_form`). Past it, it is
     the structured form ``P X - Diag(rowsum(K * X) + c)`` with
-    ``P = I - s (I - W)``, ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i`` and
-    ``c = s alpha * b``: one ``n x n`` product and a correction of the
-    diagonal. Any other :class:`Game` steps through :func:`augmented_mapping`.
+    ``P X = X - s (I - W) X`` from :meth:`MixingMatrix.consensus_step`,
+    ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i`` and ``c = s alpha * b``:
+    the consensus step and a correction of the diagonal. The consensus step
+    is one product with the precomputed ``I - s (I - W)`` up to the mixing's
+    jagged rule (``n >= 150`` and ``128 |E| <= n**2``, see
+    :mod:`grane.network`) and the ``O(|E| n)`` jagged kernel past it. Any
+    other :class:`Game` steps through :func:`augmented_mapping`.
     """
     if not isinstance(game, QuadraticGame):
         return lambda X: X - s * augmented_mapping(game, mixing, alpha, X)
@@ -327,11 +332,11 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
 
         return affine
     scale = s * np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    P = np.eye(n) - s * (np.eye(n) - mixing.W)
+    consensus_step = mixing.consensus_step(s)
     K, c = scale[:, None] * game.jacobian(), scale * game.b
 
     def structured(X):
-        out = P.dot(X)
+        out = consensus_step(X)
         out.reshape(-1)[:: n + 1] -= np.einsum("ij,ij->i", K, X) + c
         return out
 

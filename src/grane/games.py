@@ -338,10 +338,12 @@ def make_quadratic_game(
         raise ValueError("n must be at least 2")
     if not isinstance(antisymmetric, (bool, np.bool_)):
         raise ValueError(f"antisymmetric must be true or false, got {antisymmetric!r}")
-    for name, rng_ in (("a_range", a_range), ("b_range", b_range),
-                       ("c_range", c_range), ("box_range", box_range)):
-        if len(rng_) != 2 or not -math.inf < rng_[0] <= rng_[1] < math.inf:
-            raise ValueError(f"{name} must be a finite pair (lo, hi) with lo <= hi, got {rng_}")
+    pairs = {"a_range": a_range, "b_range": b_range, "c_range": c_range, "box_range": box_range}
+    for name, given in pairs.items():
+        pair = pairs[name] = _numbers(name, given)
+        if pair.shape != (2,) or not -math.inf < pair[0] <= pair[1] < math.inf:
+            raise ValueError(f"{name} must be a finite pair (lo, hi) with lo <= hi, got {given}")
+    a_range, b_range, c_range, box_range = pairs.values()
     if a_range[0] <= 0:
         raise ValueError("a_range must be strictly positive")
     if box_range[0] < 0:

@@ -8,6 +8,28 @@ Laplacian weights and Metropolis weights) together with a validator for all
 of these properties and the two spectral quantities every step-size formula
 consumes: the largest absolute eigenvalue of the symmetric ``I - W`` and its
 smallest nonzero eigenvalue.
+
+:class:`MixingMatrix` holds the one implementation of ``(I - W) X``
+(:meth:`~MixingMatrix.disagreement`) and of the consensus step
+``X - s (I - W) X`` (:meth:`~MixingMatrix.consensus_step`). Graphs with
+``n >= N_JAGGED`` (150) nodes and ``JAGGED_DENSITY * |E| <= n**2`` (128) take
+the jagged-diagonal form, ``O(|E| n)`` per ``n x n`` product; all others,
+every bundled config among them, the dense product, ``O(n**3)``. The rule
+reads only ``n`` and the edge count, so a run takes the same form, and the
+same bits, every time. The crossover, in us per ``(I - W) X`` on one BLAS
+thread (dense / jagged, lazy-Laplacian weights; 2-core x86-64 guest, numpy
+2.4.6 with OpenBLAS 0.3.31):
+
+    ==============================  =======  ========  ==========  =============
+    graph                           n = 100  n = 150   n = 300     n = 1000
+    ==============================  =======  ========  ==========  =============
+    random tree                     49 / 69  153 / 100 1064 / 448  40584 / 6342
+    path                            53 / 32  149 / 66  1293 / 355  40707 / 6368
+    star                            35 / 40  137 / 81  1064 / 419  35469 / 9356
+    random, ``|E| = n**2 / 128``    33 / 53  131 / 87  1087 / 657  34636 / 39728
+    ==============================  =======  ========  ==========  =============
+
+Metropolis weights, one per entry, cost the jagged form up to a third more.
 """
 
 from __future__ import annotations
@@ -16,6 +38,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .games import _number
 
 __all__ = [
     "Graph",
@@ -31,6 +55,14 @@ __all__ = [
 
 # eigenvalues of I - W below this are treated as the consensus null space
 _NULL_TOL = 1e-9
+
+# (I - W) X runs over jagged diagonals from this many nodes on, on graphs
+# with at most n**2 / JAGGED_DENSITY edges; smaller or denser graphs take one
+# dense product (see MixingMatrix)
+N_JAGGED = 150
+JAGGED_DENSITY = 128
+# jagged diagonals shorter than this after the 0th are summed together
+_JAGGED_ROWS = 8
 
 
 class Graph:
@@ -137,6 +169,9 @@ class MixingMatrix:
         the weighted graph, strictly positive for connected graphs).
     eigvals_IW : ndarray
         All eigenvalues of ``I - W``, ascending.
+    form : str
+        How :meth:`disagreement` and :meth:`consensus_step` apply ``I - W``:
+        ``"dense"`` or ``"jagged"``, fixed by ``n`` and the edge count alone.
     """
 
     def __init__(self, W, graph: Graph):
@@ -150,12 +185,124 @@ class MixingMatrix:
         self.sigma_max_IW = float(np.abs(eigs).max())
         nonzero = eigs[np.abs(eigs) > _NULL_TOL]
         self.lambda_min_nz_IW = float(nonzero.min()) if nonzero.size else 0.0
+        sparse = self.n >= N_JAGGED and JAGGED_DENSITY * len(graph.edges) <= self.n**2
+        self.form = "jagged" if sparse else "dense"
+        if sparse:
+            self._order, self._inverse, self._columns, self._tail, self._weights = _jagged_diagonals(W)
+            self._buffers = {}
+
+    def disagreement(self, X) -> np.ndarray:
+        """``(I - W) @ X`` for an ``n x m`` float array ``X``, as a new array.
+
+        The ``"dense"`` form is ``X - W @ X``, one ``O(n**2 m)`` product. The
+        ``"jagged"`` form is the difference form ``sum_j w_ij (X_i - X_j)``
+        over the off-diagonal entries of ``W`` in ``O(|E| m)``, which equals
+        ``(I - W) X`` for unit row sums up to rounding and gives exactly 0 on
+        equal rows. It gathers rows into buffers kept on this object, so one
+        ``MixingMatrix`` serves one thread at a time.
+        """
+        if self.form == "dense":
+            return X - self.W @ X
+        return self._jagged(X, self._weights)
+
+    def consensus_step(self, s: float):
+        """The step ``X -> X - s (I - W) X`` as a callable returning a new
+        array: one product with the precomputed ``I - s (I - W)`` in the
+        ``"dense"`` form, the jagged kernel with every weight scaled by ``s``
+        in the other, which keeps no ``n x n`` matrix."""
+        if self.form == "dense":
+            return (np.eye(self.n) - s * (np.eye(self.n) - self.W)).dot
+        weights = [s * w for w in self._weights]
+
+        def step(X):
+            out = self._jagged(X, weights)
+            return np.subtract(X, out, out=out)
+
+        return step
+
+    def _jagged(self, X, weights) -> np.ndarray:
+        """``sum_j w_ij (X_i - X_j)`` over the jagged diagonals, ``weights``
+        standing in for the off-diagonal entries of ``W``.
+
+        Rows are taken in order of falling degree, so diagonal ``k`` (every
+        row's ``k``-th neighbour) covers a prefix of them: each diagonal is
+        one row gather, one subtraction and one scaling into a prefix of the
+        accumulator, with no scatter-add. The tail's few rows are gathered at
+        once and summed per row by one ``np.add.reduceat``, so a hub costs no
+        loop over its entries. Rows of degree 0 stay 0.
+        """
+        own, gathered, acc = self._buffers.get(X.shape[1]) or self._allocate(X.shape[1])
+        np.take(X, self._order, axis=0, out=own, mode="clip")
+        for k, (columns, w) in enumerate(zip(self._columns, weights)):
+            rows = len(columns)
+            g = np.take(X, columns, axis=0, out=gathered[:rows] if k else acc[:rows], mode="clip")
+            np.subtract(own[:rows], g, out=g)
+            g *= w
+            if k:
+                acc[:rows] += g
+        if self._tail is not None:
+            columns, owners, starts = self._tail
+            g = np.take(X, owners, axis=0)
+            g -= np.take(X, columns, axis=0)
+            g *= weights[-1]
+            acc[: starts.size] += np.add.reduceat(g, starts, axis=0)
+        return np.take(acc, self._inverse, axis=0)
+
+    def _allocate(self, m: int):
+        """The kernel's buffers for ``m`` columns: the rows in degree order,
+        the neighbours gathered for diagonals 1 on (diagonal 0 is gathered
+        into the accumulator), the accumulator (zero where never written)."""
+        widest = len(self._columns[1]) if len(self._columns) > 1 else 0
+        self._buffers[m] = np.empty((self.n, m)), np.empty((widest, m)), np.zeros((self.n, m))
+        return self._buffers[m]
 
     def __repr__(self):
         return (
             f"MixingMatrix(n={self.n}, sigma_max={self.sigma_max_IW:.6g}, "
             f"lambda_min_nz={self.lambda_min_nz_IW:.6g})"
         )
+
+
+def _jagged_diagonals(W):
+    """``(order, inverse, columns, tail, weights)``: the off-diagonal entries
+    of ``W`` as jagged diagonals (Saad, *Iterative Methods for Sparse Linear
+    Systems*, section 3.4).
+
+    ``order`` lists the rows by falling degree (stably) and ``inverse``
+    undoes it. Diagonal ``k`` holds, for the rows of degree above ``k`` in
+    that order, the column of their ``k``-th entry in ``columns[k]``. From
+    the first diagonal after the 0th with fewer than ``_JAGGED_ROWS`` rows
+    on, the entries form the ``tail`` ``(columns, owners, starts)`` instead:
+    grouped by row in that order, ``owners`` the row of each entry and
+    ``starts`` where each row's group begins. ``weights`` holds each
+    diagonal's weights, then the tail's: one float when they are all equal
+    (lazy-Laplacian weights), else a column of them.
+    """
+    n = W.shape[0]
+    support = W != 0.0
+    np.fill_diagonal(support, False)
+    rows, cols = np.nonzero(support)  # faster on booleans than on W itself
+    values = W[rows, cols]
+    degree = np.bincount(rows, minlength=n)
+    order = np.argsort(-degree, kind="stable")
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.arange(n)
+    rank = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
+    lengths = np.bincount(rank)
+    short = np.flatnonzero(lengths[1:] < _JAGGED_ROWS)
+    head = 1 + int(short[0]) if short.size else lengths.size
+    entries = np.lexsort((inverse[rows], np.minimum(rank, head)))
+    pieces = np.split(entries, np.cumsum(lengths[:head]))
+    columns, weights = [cols[piece] for piece in pieces[:head]], []
+    tail = None
+    if pieces[head].size:
+        owners = rows[pieces[head]]
+        starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+        tail = cols[pieces[head]], owners, starts
+    for piece in pieces if tail else pieces[:head]:
+        w = values[piece]
+        weights.append(float(w[0]) if np.all(w == w[0]) else w[:, None])
+    return order, inverse, columns, tail, weights
 
 
 def mixing_from_laplacian(graph: Graph, t: float | None = None) -> MixingMatrix:
@@ -173,7 +320,7 @@ def mixing_from_laplacian(graph: Graph, t: float | None = None) -> MixingMatrix:
     if t is None:
         t = 1.0 / (max_deg + 1)
     else:
-        t = float(t)
+        t = _number("t", t)
         lam_max = float(np.linalg.eigvalsh(L).max())
         if not 0 < t < 2.0 / lam_max:
             raise ValueError(f"t={t} outside (0, {2.0 / lam_max:.6g})")

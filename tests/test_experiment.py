@@ -288,6 +288,13 @@ MALFORMED = [
     pytest.param("solvers[0].alpha", _solver0(alpha=INF), id="solvers[0].alpha-inf"),
     pytest.param("game.antisymmetric", _quadratic(n=3, seed=1, antisymmetric="no"),
                  id="game.antisymmetric-text"),
+    # coefficient ranges and the lazy-Laplacian t that are text or booleans
+    pytest.param("game.box_range", _quadratic(n=3, seed=1, box_range=[True, 2]),
+                 id="game.box_range-bool"),
+    pytest.param("game.c_range", _quadratic(n=3, seed=1, c_range=[0, True]), id="game.c_range-bool"),
+    pytest.param("game.a_range", _quadratic(n=3, seed=1, a_range=["1", "2"]), id="game.a_range-text"),
+    pytest.param("graph.t", lambda config: config["graph"].update(t="0.5"), id="graph.t-text"),
+    pytest.param("graph.t", lambda config: config["graph"].update(t=True), id="graph.t-bool"),
 ]
 
 

@@ -14,6 +14,8 @@ from grane import (
     random_tree,
     validate_mixing,
 )
+from grane.experiment import bundled_config, load_experiment
+from grane.network import JAGGED_DENSITY, N_JAGGED
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +193,63 @@ def test_sigma_max_equals_largest_singular_value(n, topology, construction, seed
     m = construction(graphs[topology])
     oracle = np.linalg.svd(np.eye(n) - m.W, compute_uv=False).max()
     assert abs(m.sigma_max_IW - oracle) <= 1e-13 * oracle
+
+
+# ---------------------------------------------------------------------------
+# the (I - W) X kernel and its step form
+
+
+def _sparse_graph(n, seed):
+    """A random tree plus up to n random extra edges and a hub joined to a
+    random share of the nodes: dense and sparse rows, long and short jagged
+    diagonals."""
+    rng = np.random.default_rng(seed)
+    edges = list(random_tree(n, seed).edges)
+    edges += [tuple(pair) for pair in rng.integers(0, n, size=(rng.integers(0, n + 1), 2))
+              if pair[0] != pair[1]]
+    hub = int(rng.integers(0, n))
+    edges += [(hub, j) for j in np.flatnonzero(rng.random(n) < rng.random()) if j != hub]
+    return Graph(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    topology=st.sampled_from(["path", "tree", "complete", "inline"]),
+    construction=st.sampled_from([mixing_from_laplacian, mixing_metropolis]),
+    seed=st.integers(0, 2**16),
+    width=st.sampled_from([1, 7, None]),
+)
+def test_disagreement_matches_the_dense_product(n, topology, construction, seed, width):
+    graph = {"path": path_graph, "tree": lambda k: random_tree(k, seed), "complete": complete_graph,
+             "inline": lambda k: _sparse_graph(k, seed)}[topology](n)
+    m = construction(graph)
+    sparse = n >= N_JAGGED and JAGGED_DENSITY * len(graph.edges) <= n * n
+    assert m.form == ("jagged" if sparse else "dense")
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, width or n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    s = float(rng.uniform(0.01, 1.0))
+    IW = np.eye(n) - m.W
+    for _ in range(2):  # the second call runs on the buffers of the first
+        got, stepped = m.disagreement(X), m.consensus_step(s)(X)
+        if not sparse:
+            assert got.tobytes() == (X - m.W @ X).tobytes()
+            assert stepped.tobytes() == (np.eye(n) - s * IW).dot(X).tobytes()
+            continue
+        # each row within 1e-13 of the largest entry of the rows it mixes
+        rows = np.abs(X).max(axis=1)
+        scale = np.where(m.W != 0.0, rows, 0.0).max(axis=1)[:, None]
+        assert np.all(np.abs(got - IW @ X) <= 1e-13 * scale)
+        assert np.all(np.abs(stepped - (X - s * (IW @ X))) <= 1e-13 * np.maximum(scale, rows[:, None]))
+    consensual = np.tile(X[0], (n, 1))
+    if sparse:
+        assert not np.any(m.disagreement(consensual))
+        assert np.array_equal(m.consensus_step(s)(consensual), consensual)
+
+
+def test_kernel_form_follows_the_rule():
+    assert mixing_from_laplacian(random_tree(300, 1)).form == "jagged"
+    assert mixing_metropolis(path_graph(N_JAGGED)).form == "jagged"
+    assert mixing_from_laplacian(random_tree(N_JAGGED - 1, 1)).form == "dense"
+    assert mixing_from_laplacian(complete_graph(300)).form == "dense"
+    assert load_experiment(bundled_config("paper_sec5.json")).mixing.form == "dense"

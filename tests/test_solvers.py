@@ -283,6 +283,66 @@ def test_structured_step_drift_on_paper_sec5():
         assert np.max(np.abs(factor * (r2 - w2))) <= 1e-14
 
 
+def test_jagged_step_drift_on_a_300_player_tree():
+    # a 300-player tree mixes by jagged diagonals; over 200 GRANE and 200
+    # Acc-GRANE steps its distances to the equilibrium stay within 1e-11 of
+    # the start residual of those of the dense structured step, written out
+    # here as one product with P = I - s (I - W) plus a diagonal correction
+    n, steps = 300, 200
+    game = make_quadratic_game(n, 5, c_range=(-0.001, 0.001))
+    mixing = mixing_from_laplacian(random_tree(n, 6))
+    assert mixing.form == "jagged"
+    X_star = consensual_matrix(linear_solve_equilibrium(game))
+    lo, hi, own = game.lo, game.hi, np.arange(n)
+    cfg = make_augmented_config(game, mixing, alpha=0.1)
+    start = clamp_diagonal(np.zeros((n, n)), lo, hi)
+
+    def dense_step(s):
+        P = np.eye(n) - s * (np.eye(n) - mixing.W)
+        K, c = s * cfg.alpha[:, None] * game.jacobian(), s * cfg.alpha * game.b
+
+        def step(X):
+            out = P @ X
+            out[own, own] -= (K * X).sum(axis=1) + c
+            return out
+
+        return step
+
+    def drift(trace, written):
+        dense, written = np.asarray(trace.dense_fro), np.asarray(written)
+        assert dense.shape == written.shape == (steps + 1,)
+        assert np.max(np.abs(dense - written)) <= 1e-11 * written[0]
+
+    sc = SolverConfig(step=0.5, max_iters=steps, trace_stride=steps)
+    _, trace = grane_run(game, mixing, cfg, sc, reference=X_star)
+    step, X = dense_step(0.5), start
+    written = [np.linalg.norm(X - X_star)]
+    for _ in range(steps):
+        X = clamp_diagonal(step(X), lo, hi)
+        written.append(np.linalg.norm(X - X_star))
+    drift(trace, written)
+
+    sc = SolverConfig(algorithm="acc-grane", max_iters=steps + 1, trace_stride=steps)
+    _, trace = acc_grane_run(game, mixing, cfg, sc, reference=X_star)
+    mu, L = cfg.mu_Fa, cfg.L_Fa
+    theta = 1.0 / (1.0 + L / mu)
+    averaging, gradient = dense_step(1.0 / mu), dense_step(1.0 / L)
+    A, B = start, averaging(start)
+    written = [np.linalg.norm(A - X_star)]
+    for _ in range(steps):
+        X = clamp_diagonal(B.copy(), lo, hi)
+        Y = clamp_diagonal(gradient(X), lo, hi)
+        B += theta * (averaging(Y) - B)
+        A = A + theta * (Y - A)
+        written.append(np.linalg.norm(A - X_star))
+    drift(trace, written)
+    # the records evaluate F_a through the same kernel
+    expected = X - mixing.W @ X
+    expected[own, own] += cfg.alpha * game.local_gradients(X)
+    assert_allclose(augmented_mapping(game, mixing, cfg.alpha, X), expected,
+                    rtol=0, atol=1e-13 * np.abs(X).max())
+
+
 def test_grane_rejects_infeasible_start(g2_setup):
     game, mixing, cfg, _ = g2_setup
     X0 = np.zeros((2, 2))
