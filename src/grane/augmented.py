@@ -313,10 +313,10 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
     ``P X = X - s (I - W) X`` from :meth:`MixingMatrix.consensus_step`,
     ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i`` and ``c = s alpha * b``:
     the consensus step and a correction of the diagonal. The consensus step
-    is one product with the precomputed ``I - s (I - W)`` up to the mixing's
-    jagged rule (``n >= 150`` and ``128 |E| <= n**2``, see
-    :mod:`grane.network`) and the ``O(|E| n)`` jagged kernel past it. Any
-    other :class:`Game` steps through :func:`augmented_mapping`.
+    is one product with the precomputed ``I - s (I - W)``, or the
+    ``O(|E| n)`` jagged kernel where the mixing's rule ``128 |E| <= n**2``
+    holds (see :mod:`grane.network`). Any other :class:`Game` steps through
+    :func:`augmented_mapping`.
     """
     if not isinstance(game, QuadraticGame):
         return lambda X: X - s * augmented_mapping(game, mixing, alpha, X)

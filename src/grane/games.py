@@ -46,7 +46,7 @@ class BoxSet:
 
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"invalid box [{self.lo}, {self.hi}]")
+            raise ValueError(f"boxes need lo <= hi, got [{self.lo}, {self.hi}]")
 
 
 def box_bounds(boxes) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +200,7 @@ class Game:
         if n < 1:
             raise ValueError("need at least one player")
         if len(boxes) != n:
-            raise ValueError(f"expected {n} boxes, got {len(boxes)}")
+            raise ValueError(f"boxes hold {len(boxes)} intervals for {n} players")
         self.n = int(n)
         self.boxes = list(boxes)
         self.lo, self.hi = box_bounds(self.boxes)
@@ -221,15 +221,19 @@ class QuadraticGame(Game):
         b = np.asarray(b, dtype=float)
         C = np.asarray(coupling, dtype=float)
         n = a.size
-        if b.shape != (n,) or C.shape != (n, n):
-            raise ValueError("inconsistent coefficient shapes")
+        if a.shape != (n,):
+            raise ValueError(f"a has shape {a.shape}, expected a flat list")
+        if b.shape != (n,):
+            raise ValueError(f"b has shape {b.shape}, expected ({n},) like a")
+        if C.shape != (n, n):
+            raise ValueError(f"C has shape {C.shape}, expected ({n}, {n}) like a")
         for name, value in (("a", a), ("b", b), ("C", C)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} entries must be finite numbers")
         if np.any(a <= 0):
-            raise ValueError("quadratic coefficients must be strictly positive")
+            raise ValueError("a entries must be strictly positive")
         if np.any(np.diag(C) != 0):
-            raise ValueError("coupling matrix must have a zero diagonal")
+            raise ValueError("C must have a zero diagonal")
         self.a = a
         self.b = b
         self.coupling = C
@@ -279,7 +283,7 @@ class QuadraticGame(Game):
         boxes = [BoxSet(float(lo), float(hi)) for lo, hi in _numbers("boxes", data["boxes"])]
         game = cls(*(_numbers(key, data[key]) for key in ("a", "b", "C")), boxes)
         if game.n != n:
-            raise ValueError("declared player count does not match coefficients")
+            raise ValueError(f"n is {n}, but the coefficients describe {game.n} players")
         return game
 
     def dumps(self) -> str:

@@ -7,16 +7,17 @@ consensus line ``span(1)``. Two standard constructions are provided (lazy
 Laplacian weights and Metropolis weights) together with a validator for all
 of these properties and the two spectral quantities every step-size formula
 consumes: the largest absolute eigenvalue of the symmetric ``I - W`` and its
-smallest nonzero eigenvalue.
+second-smallest eigenvalue, the algebraic connectivity, 0 exactly when the
+graph is disconnected.
 
 :class:`MixingMatrix` holds the one implementation of ``(I - W) X``
 (:meth:`~MixingMatrix.disagreement`) and of the consensus step
 ``X - s (I - W) X`` (:meth:`~MixingMatrix.consensus_step`). Graphs with
-``n >= N_JAGGED`` (150) nodes and ``JAGGED_DENSITY * |E| <= n**2`` (128) take
-the jagged-diagonal form, ``O(|E| n)`` per ``n x n`` product; all others,
-every bundled config among them, the dense product, ``O(n**3)``. The rule
-reads only ``n`` and the edge count, so a run takes the same form, and the
-same bits, every time. The crossover, in us per ``(I - W) X`` on one BLAS
+``JAGGED_DENSITY * |E| <= n**2`` (128), 127 nodes or more when connected,
+take the jagged-diagonal form, ``O(|E| n)`` per ``n x n`` product; all
+others, every bundled config among them, the dense product, ``O(n**3)``. The
+rule reads only ``n`` and the edge count, so a run takes the same form, and
+the same bits, every time. The crossover, in us per ``(I - W) X`` on one BLAS
 thread (dense / jagged, lazy-Laplacian weights; 2-core x86-64 guest, numpy
 2.4.6 with OpenBLAS 0.3.31):
 
@@ -53,13 +54,8 @@ __all__ = [
     "validate_mixing",
 ]
 
-# eigenvalues of I - W below this are treated as the consensus null space
-_NULL_TOL = 1e-9
-
-# (I - W) X runs over jagged diagonals from this many nodes on, on graphs
-# with at most n**2 / JAGGED_DENSITY edges; smaller or denser graphs take one
-# dense product (see MixingMatrix)
-N_JAGGED = 150
+# (I - W) X runs over jagged diagonals on graphs with at most
+# n**2 / JAGGED_DENSITY edges, as one dense product on others (see MixingMatrix)
 JAGGED_DENSITY = 128
 # jagged diagonals shorter than this after the 0th are summed together
 _JAGGED_ROWS = 8
@@ -165,8 +161,9 @@ class MixingMatrix:
         Largest absolute eigenvalue of the symmetric ``I - W`` (its largest
         singular value).
     lambda_min_nz_IW : float
-        Smallest nonzero eigenvalue of ``I - W`` (algebraic connectivity of
-        the weighted graph, strictly positive for connected graphs).
+        Second-smallest eigenvalue of ``I - W``, clamped at 0 (0 for one
+        node): the algebraic connectivity, the smallest nonzero eigenvalue
+        on a connected graph and 0 on a disconnected one.
     eigvals_IW : ndarray
         All eigenvalues of ``I - W``, ascending.
     form : str
@@ -183,9 +180,8 @@ class MixingMatrix:
         self.n = graph.n
         eigs = self.eigvals_IW = np.linalg.eigvalsh(np.eye(self.n) - W)
         self.sigma_max_IW = float(np.abs(eigs).max())
-        nonzero = eigs[np.abs(eigs) > _NULL_TOL]
-        self.lambda_min_nz_IW = float(nonzero.min()) if nonzero.size else 0.0
-        sparse = self.n >= N_JAGGED and JAGGED_DENSITY * len(graph.edges) <= self.n**2
+        self.lambda_min_nz_IW = max(0.0, float(eigs[1])) if self.n > 1 else 0.0
+        sparse = JAGGED_DENSITY * len(graph.edges) <= self.n**2
         self.form = "jagged" if sparse else "dense"
         if sparse:
             self._order, self._inverse, self._columns, self._tail, self._weights = _jagged_diagonals(W)
@@ -311,22 +307,24 @@ def mixing_from_laplacian(graph: Graph, t: float | None = None) -> MixingMatrix:
     The default ``t = 1/(max_degree + 1)`` keeps every diagonal entry
     strictly positive and all entries nonnegative. A user-supplied ``t``
     must satisfy ``0 < t <= 1/max_degree`` (nonnegativity) and
-    ``t < 2/lambda_max(L)``.
+    ``t < 2/lambda_max(L)``, read as ``lambda_max(I - W) < 2`` off the
+    spectrum of the :class:`MixingMatrix`: one eigenproblem per call.
     """
     if not graph.is_connected():
         raise ValueError("graph must be connected")
     L = graph.laplacian()
-    max_deg = int(graph.degrees().max())
+    max_deg = float(L.diagonal().max())
     if t is None:
         t = 1.0 / (max_deg + 1)
     else:
         t = _number("t", t)
-        lam_max = float(np.linalg.eigvalsh(L).max())
-        if not 0 < t < 2.0 / lam_max:
-            raise ValueError(f"t={t} outside (0, {2.0 / lam_max:.6g})")
-        if t > 1.0 / max_deg:
-            raise ValueError(f"t={t} exceeds 1/max_degree={1.0 / max_deg:.6g}")
-    return MixingMatrix(np.eye(graph.n) - t * L, graph)
+        bound = 1.0 / max(max_deg, 1.0)  # on one node W = I for every t
+        if not 0 < t <= bound:
+            raise ValueError(f"t={t} outside (0, 1/max_degree={bound:.6g}]")
+    mixing = MixingMatrix(np.eye(graph.n) - t * L, graph)
+    if mixing.eigvals_IW[-1] >= 2.0:
+        raise ValueError(f"t={t} not below 2/lambda_max(L)")
+    return mixing
 
 
 def mixing_metropolis(graph: Graph) -> MixingMatrix:

@@ -72,6 +72,9 @@ class DivergenceError(RuntimeError):
     numbers (step size too large)."""
 
 
+_ACC_STEP = "step must be 'auto' for acc-grane, which steps by 1/mu and 1/L"
+
+
 @dataclass
 class SolverConfig:
     """Settings of one solver run.
@@ -109,7 +112,7 @@ class SolverConfig:
         if self.path not in ("lemma2", "lemma3"):
             raise ValueError(f"path must be 'lemma2' or 'lemma3', got {self.path!r}")
         if self.algorithm == "acc-grane" and self.step != "auto":
-            raise ValueError("step must be 'auto' for acc-grane, which steps by 1/mu and 1/L")
+            raise ValueError(_ACC_STEP)
         if self.algorithm == "acc-grane" and self.path != "lemma2":
             raise ValueError("path must be 'lemma2' for acc-grane, which needs mu_Fa")
 
@@ -318,10 +321,13 @@ def acc_grane_run(
     ``lam_{k+1} = S_k / gamma`` (``S_k`` their sum to ``k``) give
     ``S_{k+1} = S_k (1 + 1/gamma)``: each new term takes the constant share
     ``theta = 1/(1 + gamma)`` of both averages, so no weight or sum is kept.
-    Requires the strong-monotonicity constant (``cfg.mu_Fa``). Records run
+    Requires the strong-monotonicity constant (``cfg.mu_Fa``) and
+    ``sc.step == 'auto'``: a numeric step would be ignored. Records run
     over ``k = 0 .. max_iters - 1``, and the iteration ``k = 0`` counts as
     one of the ``max_iters``.
     """
+    if sc.step != "auto":
+        raise ValueError(_ACC_STEP)
     if cfg.mu_Fa is None:
         raise StrongMonotonicityUnavailableError(
             "acceleration needs the strong-monotonicity constant; it is "

@@ -167,6 +167,14 @@ def test_strong_monotonicity_absent_for_strong_coupling(g2r, w2):
     assert strong_monotonicity_constant(g2r.constants, w2, 1.0) is None
 
 
+def test_strong_monotonicity_absent_for_a_game_that_is_not_strongly_monotone(w2):
+    # sym(Diag(a) + C) = [[1, 2], [2, 1]] has eigenvalues -1 and 3, so mu_F = 0
+    game = QuadraticGame([1.0, 1.0], [0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]],
+                         [BoxSet(-1.0, 1.0), BoxSet(-1.0, 1.0)])
+    assert game.constants.mu_F == 0.0
+    assert strong_monotonicity_constant(game.constants, w2, 1.0) is None
+
+
 def test_strong_monotonicity_closed_form_20(benchmark20):
     game, mixing = benchmark20
     alpha = 0.05

@@ -295,6 +295,15 @@ MALFORMED = [
     pytest.param("game.a_range", _quadratic(n=3, seed=1, a_range=["1", "2"]), id="game.a_range-text"),
     pytest.param("graph.t", lambda config: config["graph"].update(t="0.5"), id="graph.t-text"),
     pytest.param("graph.t", lambda config: config["graph"].update(t=True), id="graph.t-bool"),
+    # inline game data that is well formed but not a game
+    pytest.param("game.data.a", _game_data(a=[2, -1]), id="game.data.a-negative"),
+    pytest.param("game.data.C", _game_data(C=[[1.0, 1.0], [-1.0, 0.0]]), id="game.data.C-diagonal"),
+    pytest.param("game.data.a", _game_data(a=[[2.0, 2.0]]), id="game.data.a-nested"),
+    pytest.param("game.data.b", _game_data(b=[-2.0]), id="game.data.b-short"),
+    pytest.param("game.data.C", _game_data(C=[[0.0, 1.0]]), id="game.data.C-shape"),
+    pytest.param("game.data.boxes", _game_data(boxes=[[1, -1], [-10, 10]]), id="game.data.boxes-reversed"),
+    pytest.param("game.data.boxes", _game_data(boxes=[[-10, 10]]), id="game.data.boxes-count"),
+    pytest.param("game.data.n", _game_data(n=3), id="game.data.n-mismatch"),
 ]
 
 
@@ -427,6 +436,16 @@ def test_constants_report_restricted():
     assert entry["path"] == "lemma3"
 
 
+def test_constants_report_names_an_unavailable_path(tmp_path):
+    config = load_config(bundled_config("g2r.json"))
+    config["solvers"].append({"name": "strong", "algorithm": "grane", "path": "lemma2"})
+    report = constants_report(write_config(tmp_path, config))
+    assert set(report["solvers"]) == {"grane-restricted", "strong"}
+    assert report["solvers"]["grane-restricted"]["mu_r_Fa"] > 0
+    error = report["solvers"]["strong"]
+    assert list(error) == ["error"] and "lemma3" in error["error"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -441,6 +460,14 @@ def test_cli_run_ok(tmp_path, capsys):
 def test_cli_validate_ok(capsys):
     assert main(["validate", str(bundled_config("g2.json"))]) == EXIT_OK
     assert "valid" in capsys.readouterr().out
+
+
+def test_cli_validate_warning_exits_0(tmp_path, capsys):
+    config = load_config(bundled_config("g2r.json"))
+    config["solvers"].append({"name": "strong", "algorithm": "grane", "path": "lemma2"})
+    assert main(["validate", str(write_config(tmp_path, config))]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("warning: solver 'strong': mu_Fa undefined: ")
 
 
 def test_cli_constants(capsys):

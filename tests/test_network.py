@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,8 @@ from grane import (
     random_tree,
     validate_mixing,
 )
-from grane.experiment import bundled_config, load_experiment
-from grane.network import JAGGED_DENSITY, N_JAGGED
+from grane.experiment import bundled_config, load_experiment, validate_config
+from grane.network import JAGGED_DENSITY
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,8 @@ def test_laplacian_t_validation():
         mixing_from_laplacian(g, t=2.0 / lam_max)
     with pytest.raises(ValueError):
         mixing_from_laplacian(g, t=0.6)  # exceeds 1/max_degree
+    # one node has no edge: W = I for every admissible t
+    assert mixing_from_laplacian(Graph(1, []), t=0.5).W.tolist() == [[1.0]]
 
 
 def test_laplacian_rejects_disconnected():
@@ -173,6 +177,33 @@ def test_spectral_invariants():
             assert abs(m.lambda_min_nz_IW - np.sort(eigs)[1]) <= 1e-10
 
 
+def test_connectivity_is_the_second_eigenvalue(tmp_path):
+    # a tiny but positive gap is a connected graph, not a zero eigenvalue:
+    # lambda_2 = 2e-12 keeps the restricted constants positive
+    config = json.loads(bundled_config("g2r.json").read_text())
+    config["graph"]["t"] = 1e-12
+    path = tmp_path / "tiny_t.json"
+    path.write_text(json.dumps(config))
+    report = validate_config(path)
+    assert report.issues == []
+    assert report.warnings == ["mixing matrix failed checks: ['null_space_dimension', 'sparsity_pattern']"]
+    for seed in range(12):
+        graph = _sparse_graph(3 + 5 * seed, seed)
+        for m in (mixing_from_laplacian(graph), mixing_metropolis(graph)):
+            assert m.lambda_min_nz_IW == np.linalg.eigvalsh(np.eye(m.n) - m.W)[1]
+    # a disconnected graph has no gap, though eigvalsh may put a rounding
+    # error such as -6e-17 second
+    left, right = mixing_from_laplacian(random_tree(5, 2)), mixing_metropolis(random_tree(4, 3))
+    W = np.zeros((9, 9))
+    W[:5, :5], W[5:, 5:] = left.W, right.W
+    apart = Graph(9, [*left.graph.edges, *((i + 5, j + 5) for i, j in right.graph.edges)])
+    assert MixingMatrix(W, apart).lambda_min_nz_IW == 0.0
+    assert MixingMatrix(np.eye(1), Graph(1, [])).lambda_min_nz_IW == 0.0
+    # lambda_max(I - W) = 2 on a 2-node path at t = 1
+    with pytest.raises(ValueError, match="not below 2/lambda_max"):
+        mixing_from_laplacian(path_graph(2), t=1)
+
+
 def test_spectrum_computed_once_and_reused():
     m = mixing_from_laplacian(random_tree(9, 3))
     assert np.array_equal(m.eigvals_IW, np.linalg.eigvalsh(np.eye(m.n) - m.W))
@@ -224,7 +255,7 @@ def test_disagreement_matches_the_dense_product(n, topology, construction, seed,
     graph = {"path": path_graph, "tree": lambda k: random_tree(k, seed), "complete": complete_graph,
              "inline": lambda k: _sparse_graph(k, seed)}[topology](n)
     m = construction(graph)
-    sparse = n >= N_JAGGED and JAGGED_DENSITY * len(graph.edges) <= n * n
+    sparse = JAGGED_DENSITY * len(graph.edges) <= n * n
     assert m.form == ("jagged" if sparse else "dense")
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, width or n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
@@ -249,7 +280,9 @@ def test_disagreement_matches_the_dense_product(n, topology, construction, seed,
 
 def test_kernel_form_follows_the_rule():
     assert mixing_from_laplacian(random_tree(300, 1)).form == "jagged"
-    assert mixing_metropolis(path_graph(N_JAGGED)).form == "jagged"
-    assert mixing_from_laplacian(random_tree(N_JAGGED - 1, 1)).form == "dense"
+    # a connected graph has n - 1 edges or more: jagged from 127 nodes on
+    assert mixing_metropolis(path_graph(127)).form == "jagged"
+    assert mixing_from_laplacian(random_tree(127, 1)).form == "jagged"
+    assert mixing_from_laplacian(random_tree(126, 1)).form == "dense"
     assert mixing_from_laplacian(complete_graph(300)).form == "dense"
     assert load_experiment(bundled_config("paper_sec5.json")).mixing.form == "dense"

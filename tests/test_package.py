@@ -26,6 +26,8 @@ REMOVED = [
     ("network.Graph", "to_json"),
     ("network.Graph", "from_json"),
     ("network.MixingMatrix", "to_json"),
+    ("network", "N_JAGGED"),
+    ("network", "_NULL_TOL"),
 ]
 
 

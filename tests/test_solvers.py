@@ -362,6 +362,12 @@ def test_grane_stop_tol(g2_setup):
         assert np.linalg.norm(X - X_star) <= 1e-6 * trace.dense_fro[0]
 
 
+def test_acc_grane_refuses_a_step_it_would_ignore(g2_setup):
+    game, mixing, cfg, _ = g2_setup
+    with pytest.raises(ValueError, match="^step must be 'auto' for acc-grane"):
+        acc_grane_run(game, mixing, cfg, SolverConfig(step=0.1, max_iters=5))
+
+
 def test_grane_divergence_guard(g2_setup):
     game, mixing, cfg, _ = g2_setup
     with pytest.raises(DivergenceError):
