@@ -302,8 +302,10 @@ def affine_form(game: QuadraticGame, mixing: MixingMatrix, alpha):
 
 
 def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
-    """The gradient step ``X -> X - s * F_a(X)``, as a callable that takes an
-    ``n x n`` array and returns a new C-ordered one.
+    """The gradient step ``X -> X - s * F_a(X)``, as a callable
+    ``step(X, out=None)`` that writes the step of the ``n x n`` array ``X``
+    into the C-ordered ``out`` (not ``X`` itself) or a new C-ordered array,
+    and returns it.
 
     ``F_a`` is affine for a :class:`QuadraticGame`, so its step is precomputed
     once and equals the formula up to rounding. Up to ``N_AFFINE`` (12)
@@ -319,24 +321,28 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
     :func:`augmented_mapping`.
     """
     if not isinstance(game, QuadraticGame):
-        return lambda X: X - s * augmented_mapping(game, mixing, alpha, X)
+        return lambda X, out=None: np.subtract(
+            X, s * augmented_mapping(game, mixing, alpha, X), out=out
+        )
     n = game.n
     if n <= N_AFFINE:
         J, f0 = affine_form(game, mixing, alpha)
         step_matrix, offset = np.eye(n * n) - s * J, -s * f0
 
-        def affine(X):
-            out = step_matrix.dot(X.reshape(-1))
-            out += offset
-            return out.reshape(n, n)
+        def affine(X, out=None):
+            out = np.empty((n, n)) if out is None else out
+            flat = out.reshape(-1)
+            step_matrix.dot(X.reshape(-1), flat)
+            flat += offset
+            return out
 
         return affine
     scale = s * np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
     consensus_step = mixing.consensus_step(s)
     K, c = scale[:, None] * game.jacobian(), scale * game.b
 
-    def structured(X):
-        out = consensus_step(X)
+    def structured(X, out=None):
+        out = consensus_step(X, out)
         out.reshape(-1)[:: n + 1] -= np.einsum("ij,ij->i", K, X) + c
         return out
 

@@ -381,6 +381,7 @@ def run_experiment(path, output_dir=None) -> dict:
             "step": trace.metadata["step"],
             "constants": constants,
             "iterations_run": trace.metadata["iterations"],
+            "stop_reason": trace.metadata["stop_reason"],
             "final": trace.final_record(),
             "final_normalized_residual": float(norm[-1]),
             "iterations_to": {

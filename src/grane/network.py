@@ -202,30 +202,35 @@ class MixingMatrix:
         return self._jagged(X, self._weights)
 
     def consensus_step(self, s: float):
-        """The step ``X -> X - s (I - W) X`` as a callable returning a new
-        array: one product with the precomputed ``I - s (I - W)`` in the
+        """The step ``X -> X - s (I - W) X`` as a callable ``step(X, out=None)``
+        that writes into ``out`` (not ``X`` itself) or a new array and returns
+        it: one product with the precomputed ``I - s (I - W)`` in the
         ``"dense"`` form, the jagged kernel with every weight scaled by ``s``
         in the other, which keeps no ``n x n`` matrix."""
         if self.form == "dense":
             return (np.eye(self.n) - s * (np.eye(self.n) - self.W)).dot
         weights = [s * w for w in self._weights]
 
-        def step(X):
-            out = self._jagged(X, weights)
+        def step(X, out=None):
+            out = self._jagged(X, weights, out)
             return np.subtract(X, out, out=out)
 
         return step
 
-    def _jagged(self, X, weights) -> np.ndarray:
+    def _jagged(self, X, weights, out=None) -> np.ndarray:
         """``sum_j w_ij (X_i - X_j)`` over the jagged diagonals, ``weights``
-        standing in for the off-diagonal entries of ``W``.
+        standing in for the off-diagonal entries of ``W``, into ``out`` or a
+        new array.
 
         Rows are taken in order of falling degree, so diagonal ``k`` (every
         row's ``k``-th neighbour) covers a prefix of them: each diagonal is
         one row gather, one subtraction and one scaling into a prefix of the
         accumulator, with no scatter-add. The tail's few rows are gathered at
         once and summed per row by one ``np.add.reduceat``, so a hub costs no
-        loop over its entries. Rows of degree 0 stay 0.
+        loop over its entries. Rows of degree 0 stay 0. The gathers into
+        buffers, and the last one back into row order into ``out``, take
+        ``mode="clip"``: under the default ``"raise"`` numpy gathers into a
+        temporary and copies it into ``out``.
         """
         own, gathered, acc = self._buffers.get(X.shape[1]) or self._allocate(X.shape[1])
         np.take(X, self._order, axis=0, out=own, mode="clip")
@@ -242,7 +247,7 @@ class MixingMatrix:
             g -= np.take(X, columns, axis=0)
             g *= weights[-1]
             acc[: starts.size] += np.add.reduceat(g, starts, axis=0)
-        return np.take(acc, self._inverse, axis=0)
+        return np.take(acc, self._inverse, axis=0, out=out, mode="clip")
 
     def _allocate(self, m: int):
         """The kernel's buffers for ``m`` columns: the rows in degree order,
@@ -357,8 +362,12 @@ def validate_mixing(m: MixingMatrix, tol: float = 1e-10) -> MixingValidation:
     Verifies symmetry, entrywise nonnegativity, unit row and column sums,
     that the spectrum of ``I - W`` lies in ``[0, 2]`` with exactly one
     (near-)zero eigenvalue, and that the off-diagonal support equals the
-    graph's edge set. Each failed check contributes one entry to
-    ``failures``; the numeric evidence is kept in ``details``.
+    graph's edge set, each within ``tol``. Two checks read no ``tol``: an
+    eigenvalue counts as zero within the rounding of the eigensolver,
+    ``n * eps * max(1, sigma_max_IW)``, so a small but positive spectral gap
+    is a connected graph; and an edge weight is zero when it is not
+    positive. Each failed check contributes one entry to ``failures``; the
+    numeric evidence is kept in ``details``.
     """
     W = m.W
     report = MixingValidation()
@@ -380,11 +389,12 @@ def validate_mixing(m: MixingMatrix, tol: float = 1e-10) -> MixingValidation:
     eigs = m.eigvals_IW
     check(eigs.min() >= -tol, "positive_semidefinite", float(eigs.min()))
     check(eigs.max() <= 2.0 + tol, "spectrum_upper", float(eigs.max()))
-    n_null = int(np.sum(np.abs(eigs) <= tol))
+    rounding = m.n * np.finfo(float).eps * max(1.0, m.sigma_max_IW)
+    n_null = int(np.sum(np.abs(eigs) <= rounding))
     check(n_null == 1, "null_space_dimension", n_null)
 
     on_edge = np.triu(m.graph.adjacency(), k=1) > 0
-    zero_on_edge = on_edge & (W <= tol)
+    zero_on_edge = on_edge & ~(W > 0.0)
     off_edge = np.triu(np.abs(W) > tol, k=1) & ~on_edge
     bad = [
         (int(i), int(j), "zero weight on edge" if zero_on_edge[i, j] else "weight off the edge set")

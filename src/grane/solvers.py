@@ -22,11 +22,20 @@ through :func:`~grane.augmented.gradient_map`, which describes its forms.
 Residual records always evaluate ``F_a`` itself, so the ``vi_residual``
 checks the step independently.
 
-Each solver only supplies its step; one driver, :func:`_iterate`, counts the
-iterations, measures the iterate movement, guards against divergence,
-applies the stopping tolerance and hands every iterate to the trace. Every
-run is deterministic given its inputs; traces record per-iteration residuals
-and export to CSV.
+Each solver only supplies its step, ``step(x, out)``, which writes the next
+iterate into ``out``; one driver, :func:`_iterate`, counts the iterations,
+measures the iterate movement, guards against divergence, applies the
+stopping tolerance, hands every iterate to the trace and reports why the run
+stopped. It steps a chunk of iterates into a preallocated ring, then does
+that bookkeeping once for the whole chunk, in the order of a step-by-step
+loop. A chunk holds at most 256 iterates and 256 KB, and at least one
+iterate, so from 129 players on every chunk is one step. With a stopping
+tolerance the chunk that starts at iteration ``k`` holds at most
+``k // 8 + 2`` iterates, so a stop at iteration ``k`` runs at most
+``ceil(k / 8)`` steps past it, and their iterates reach no output; the
+chunk also ends where the last contraction rate of the moves puts the stop.
+Every run is deterministic given its inputs and keeps the bits of the
+step-by-step loop; traces record per-iteration residuals and export to CSV.
 """
 
 from __future__ import annotations
@@ -63,6 +72,9 @@ __all__ = [
 # a 10x step-norm growth over this many iterations aborts the run
 _GUARD_WINDOW = 100
 _GUARD_FACTOR = 10.0
+# the driver's ring of iterates holds at most this many bytes and iterates
+_RING_BYTES = 1 << 18
+_RING_ITERATES = 256
 
 TRACE_COLUMNS = ("k", "fro_residual", "relative_error", "consensus_gap", "vi_residual")
 
@@ -198,53 +210,170 @@ def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha) -> d
     }
 
 
-def _norm(d: np.ndarray) -> float:
-    """``np.linalg.norm(d)`` of a float array, without its argument handling."""
-    d = d.ravel(order="K")
-    return math.sqrt(d.dot(d))
+def _stacked_dot(a, b) -> np.ndarray:
+    """The dot products of the rows of ``a`` and ``b`` as one stacked
+    ``matmul``, which reaches the dot kernel of ``np.vecdot`` (numpy 2) on
+    numpy 1.x too."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+_vecdot = getattr(np, "vecdot", _stacked_dot)
+
+
+def _norms(block, minus, scratch) -> np.ndarray:
+    """The Euclidean norms of the rows of ``block - minus``, formed in
+    ``scratch``; each has the bits of ``math.sqrt(d.dot(d))`` of its row."""
+    d = np.subtract(block, minus, out=scratch[: len(block)])
+    return np.sqrt(_vecdot(d, d))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate(step, x, max_iters: int, stop_tol: float, observe):
-    """Iterate ``x <- step(x)``; returns the last iterate, the step count and
-    the last step's movement (infinite when no step was taken).
+def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=None, record=None):
+    """Iterate ``step(x_k, out)``, which writes ``x_{k+1}`` into ``out``; both
+    are C-ordered slots of the ring, in the shape of ``x``.
 
-    ``observe(k, x, last)`` sees iterate ``k`` for ``k = 0, 1, ...``, with
-    ``last`` true on the final one. The run stops after ``max_iters`` steps
-    or after a step that moves the iterate by at most ``stop_tol`` (0
-    disables). It raises :class:`DivergenceError` when a move is not finite,
-    or when a move exceeds both ``_GUARD_FACTOR`` times the move
+    Returns a copy of the last iterate, the step count, the last step's
+    movement (infinite when no step was taken) and why the run stopped:
+    ``"max_iters"`` after ``max_iters`` steps, or ``"stop_tol"`` after a
+    step that moves the iterate by at most ``stop_tol`` (0 disables), the
+    last step included. It raises :class:`DivergenceError` when a move is not
+    finite, or when a move exceeds both ``_GUARD_FACTOR`` times the move
     ``_GUARD_WINDOW`` steps earlier and 1e-8 times the first nonzero move.
     Overflow is reported by that error alone: numpy's warnings about it are
-    silenced for the whole run.
+    silenced for the whole run. With a ``trace``, every iterate's distance
+    to ``reference`` (NaN without one) goes to ``trace.dense_fro``, and
+    ``record(x_k)`` is pushed at ``k = 0``, every ``trace.stride``
+    iterations and at the last.
+
+    The iterates live in a ring of ``cap + 1`` slots, ``cap`` the chunk
+    bound of the module docstring. Each chunk runs from the slot of the last
+    kept iterate toward the end of the ring with room for it, so the ring
+    is walked back and forth and no iterate is copied; at ``cap = 1`` two
+    slots take turns. After a chunk its moves, the divergence checks, the
+    stopping test and the trace's distances are taken at once over its
+    slots, and the first event in iteration order decides, an error before
+    a stop on the same step. A step that raises is looked at only after the
+    steps before it: a divergence or a stop among them takes precedence, as
+    the step would not have been taken.
     """
-    observe(0, x, max_iters == 0)
-    window = [0.0] * _GUARD_WINDOW  # the last moves, by k % _GUARD_WINDOW
+    x = np.asarray(x, dtype=float)
+    cap = max(1, min(_RING_ITERATES, _RING_BYTES // max(x.nbytes, 1), max_iters))
+    ring = np.empty((cap + 1, x.size))
+    ring[0] = x.reshape(-1)
+    # the ring's slots in the shape of x, listed as the chunks first reach them
+    shaped, slots = ring.reshape((cap + 1,) + x.shape), []
+    # differences are formed in scratch; with one-step chunks (cap = 1) in
+    # the slot of the previous iterate, which no later bookkeeping reads
+    scratch = np.empty((cap, x.size)) if cap > 1 else ring[::-1]
+    ref = None if reference is None else np.asarray(reference, dtype=float).reshape(-1)
+    observe = None
+    if trace is not None:
+
+        def observe(block, k, final, work):
+            """Hand iterates ``k, k + 1, ...``, the rows of ``block``, to the
+            trace; their distances are formed in ``work``."""
+            if ref is None:
+                trace.dense_fro.extend([math.nan] * len(block))
+            else:
+                trace.dense_fro.extend(_norms(block, ref, work).tolist())
+            stride, end = trace.stride, k + len(block) - 1
+            for i in range(-(-k // stride) * stride, end + 1, stride):
+                trace.push_record(i, record(block[i - k].reshape(x.shape)))
+            if final and end % stride:
+                trace.push_record(end, record(block[-1].reshape(x.shape)))
+
+        observe(ring[:1], 0, max_iters == 0, scratch)
+    window = np.zeros(_GUARD_WINDOW)  # the last moves, oldest first
     floor = 0.0
-    k, move = 0, math.inf
+    k, move, before, reason, last, at = 0, math.inf, math.inf, "max_iters", shaped[0], 0
     while k < max_iters:
-        x_new = step(x)
-        move = _norm(x_new - x)
-        k += 1
-        if not math.isfinite(move):
-            raise DivergenceError(
-                f"non-finite iterate movement at iteration {k}; reduce the step size"
-            )
-        old = window[k % _GUARD_WINDOW]
-        if old > 0.0 and move > _GUARD_FACTOR * old and move > floor:
-            raise DivergenceError(
-                f"step norm grew from {old:.3g} to {move:.3g} within "
-                f"{_GUARD_WINDOW} iterations; reduce the step size"
-            )
-        window[k % _GUARD_WINDOW] = move
-        if floor == 0.0 and move > 0.0:
-            floor = 1e-8 * move
-        x = x_new
-        stop = stop_tol > 0.0 and move <= stop_tol
-        observe(k, x, stop or k == max_iters)
-        if stop:
+        size = min(cap, max_iters - k, max(at, cap - at))
+        if stop_tol > 0.0:
+            size = min(size, k // 8 + 2, _pace(before, move, stop_tol))
+        if at + size <= cap:  # the chunk's slots, from the last kept iterate on
+            slots.extend(shaped[len(slots) : at + size + 1])
+            block, rows = ring[at : at + size + 1], slots[at : at + size + 1]
+            at += size
+        else:
+            block, rows = ring[at - size : at + 1][::-1], slots[at - size : at + 1][::-1]
+            at -= size
+        done, failure = size, None
+        try:
+            for j in range(size):
+                step(rows[j], rows[j + 1])
+        except Exception as exc:  # re-raised below unless an earlier step decides
+            done, failure = j, exc
+            if not done:
+                raise
+        work = scratch if cap > 1 else block
+        moves = _norms(block[1 : done + 1], block[:done], work)
+        kept = done
+        if stop_tol > 0.0:
+            hits = moves <= stop_tol
+            first = int(hits.argmax())
+            if hits[first]:  # the chunk ends at the first stop
+                kept, reason = first + 1, "stop_tol"
+                moves = moves[:kept]
+        history = np.concatenate((window, moves))
+        if floor == 0.0:
+            # set here, it holds for the whole chunk: the moves before the
+            # first positive one are 0, and that one exceeds its 1e-8 multiple,
+            # which is positive (a positive move is at least 2.2e-162)
+            positive = moves > 0.0
+            first = int(positive.argmax())
+            if positive[first]:
+                floor = float(1e-8 * moves[first])
+        olds = history[:kept]
+        # screens first (argmax, argmin: the cheapest reductions); every move
+        # a window back is 0 until the window has passed
+        finite = np.isfinite(moves)
+        suspect = not finite[finite.argmin()]
+        if not suspect and k + kept > _GUARD_WINDOW:
+            grown = moves > _GUARD_FACTOR * olds
+            suspect = grown[grown.argmax()]
+        if suspect:
+            _check(moves, olds, floor, k)
+        if failure is not None and reason != "stop_tol":
+            raise failure
+        if observe is not None:
+            final = reason == "stop_tol" or k + kept == max_iters
+            observe(block[1 : kept + 1], k + 1, final, work)
+        before = float(moves[kept - 2]) if kept > 1 else move
+        k, move, last = k + kept, float(moves[kept - 1]), rows[kept]
+        window = history[kept:]
+        if reason == "stop_tol":
             break
-    return x, k, move
+    return last.copy(), k, move, reason
+
+
+def _pace(before: float, move: float, stop_tol: float) -> int:
+    """The steps that moves contracting at the rate ``move / before`` take
+    from ``move`` down to ``stop_tol``, at least 1: the chunk that most
+    likely ends at the stop. ``_RING_ITERATES`` when they do not contract."""
+    rate, reach = move / before, stop_tol / move
+    if not (0.0 < rate < 1.0 and reach > 0.0):
+        return _RING_ITERATES
+    return max(1, math.ceil(min(math.log(reach) / math.log(rate), _RING_ITERATES)))
+
+
+def _check(moves, olds, floor: float, k: int):
+    """Raise :class:`DivergenceError` at the first of the ``moves`` of steps
+    ``k + 1, k + 2, ...`` that is not finite, or that exceeds both
+    ``_GUARD_FACTOR`` times its move a window back (``olds``) and ``floor``,
+    when that old move is positive."""
+    tripped = ~np.isfinite(moves) | (
+        (olds > 0.0) & (moves > _GUARD_FACTOR * olds) & (moves > floor)
+    )
+    if tripped.any():
+        i = int(tripped.argmax())
+        if not math.isfinite(moves[i]):
+            raise DivergenceError(
+                f"non-finite iterate movement at iteration {k + i + 1}; reduce the step size"
+            )
+        raise DivergenceError(
+            f"step norm grew from {float(olds[i]):.3g} to {float(moves[i]):.3g} within "
+            f"{_GUARD_WINDOW} iterations; reduce the step size"
+        )
 
 
 def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
@@ -258,19 +387,21 @@ def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
     return X
 
 
-def _observer(trace: ConvergenceTrace, game, mixing, alpha, reference, X_start):
-    """The driver's callback for a distributed run: the distance to
-    ``reference`` at every iterate, a full record every ``trace.stride`` and
-    at the last."""
+def _traced(step, X, sc: SolverConfig, max_iters, game, mixing, alpha, reference, steps):
+    """Run a distributed solver's ``step`` from ``X`` through :func:`_iterate`
+    with its trace: the distance to ``reference`` at every iterate and the
+    :func:`residual_metrics` against it and ``X`` every ``sc.trace_stride``
+    iterations and at the last. Returns the last iterate, the trace and the
+    step count; ``trace.metadata`` holds ``steps`` and the stop reason."""
+    trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
     X_ref = None if reference is None else np.asarray(reference, dtype=float)
-    dense, stride = trace.dense_fro.append, trace.stride
 
-    def observe(k, X, last):
-        dense(_norm(X - X_ref) if X_ref is not None else math.nan)
-        if k % stride == 0 or last:
-            trace.push_record(k, residual_metrics(X, X_ref, X_start, game, mixing, alpha))
+    def record(X_k):
+        return residual_metrics(X_k, X_ref, X, game, mixing, alpha)
 
-    return observe
+    X_last, k, _, reason = _iterate(step, X, max_iters, sc.stop_tol, trace, X_ref, record)
+    trace.metadata["stop_reason"] = reason
+    return X_last, trace, k
 
 
 def grane_run(
@@ -294,12 +425,10 @@ def grane_run(
     lo, hi = game.lo, game.hi
     gradient_step = gradient_map(game, mixing, cfg.alpha, lam)
 
-    def step(X):
-        return clamp_diagonal(gradient_step(X), lo, hi)
+    def step(X, out):
+        clamp_diagonal(gradient_step(X, out), lo, hi)
 
-    trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": lam})
-    observe = _observer(trace, game, mixing, cfg.alpha, reference, X)
-    X, k, _ = _iterate(step, X, sc.max_iters, sc.stop_tol, observe)
+    X, trace, k = _traced(step, X, sc, sc.max_iters, game, mixing, cfg.alpha, reference, lam)
     trace.metadata["iterations"] = k
     return X, trace
 
@@ -340,20 +469,23 @@ def acc_grane_run(
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
     averaging_step = gradient_map(game, mixing, cfg.alpha, steps["averaging"])
     gradient_step = gradient_map(game, mixing, cfg.alpha, steps["gradient"])
-
-    trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
     B = averaging_step(Y)  # average of Y_t - (1/mu) F_a(Y_t)
+    work = np.empty_like(B)  # X_k, then the averaging step of Y_{k+1}
 
-    def step(A):
-        """Step to ``Y_{k+1}``; fold it into ``B`` and, as a new array, into ``A``."""
-        nonlocal B
-        X_k = clamp_diagonal(B.copy(), lo, hi)
-        Y = clamp_diagonal(gradient_step(X_k), lo, hi)
-        B += theta * (averaging_step(Y) - B)
-        return A + theta * (Y - A)
+    def step(A, out):
+        """Step to ``Y_{k+1}`` in ``out``; fold it into ``B``, then fold ``A``
+        into it."""
+        np.copyto(work, B)
+        clamp_diagonal(gradient_step(clamp_diagonal(work, lo, hi), out), lo, hi)
+        np.subtract(averaging_step(out, work), B, out=work)
+        np.add(B, np.multiply(work, theta, out=work), out=B)
+        np.subtract(out, A, out=out)
+        out *= theta
+        out += A
 
-    observe = _observer(trace, game, mixing, cfg.alpha, reference, Y)
-    y_tilde, k, _ = _iterate(step, Y, sc.max_iters - 1, sc.stop_tol, observe)
+    y_tilde, trace, k = _traced(
+        step, Y, sc, sc.max_iters - 1, game, mixing, cfg.alpha, reference, steps
+    )
     trace.metadata["iterations"] = k + 1
     return y_tilde, trace
 
@@ -396,12 +528,11 @@ def centralized_gradient_play(
     max_iters, tol = _whole("max_iters", max_iters), _tolerance("tol", tol)
     lo, hi = game.lo, game.hi
     x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
-    x, k, move = _iterate(
-        lambda x: clamp(x - step * game.mapping(x), lo, hi),
+    x, k, move, _ = _iterate(
+        lambda x, out: clamp(np.subtract(x, step * game.mapping(x), out=out), lo, hi),
         x,
         max_iters,
         tol,
-        lambda k, x, last: None,
     )
     if tol > 0.0 and move > tol:
         warnings.warn(

@@ -186,7 +186,8 @@ def test_connectivity_is_the_second_eigenvalue(tmp_path):
     path.write_text(json.dumps(config))
     report = validate_config(path)
     assert report.issues == []
-    assert report.warnings == ["mixing matrix failed checks: ['null_space_dimension', 'sparsity_pattern']"]
+    # its eigenvalues are about -2e-17 and 2e-12: one zero, and 1e-12 edge weights
+    assert report.warnings == []
     for seed in range(12):
         graph = _sparse_graph(3 + 5 * seed, seed)
         for m in (mixing_from_laplacian(graph), mixing_metropolis(graph)):
@@ -198,6 +199,9 @@ def test_connectivity_is_the_second_eigenvalue(tmp_path):
     W[:5, :5], W[5:, 5:] = left.W, right.W
     apart = Graph(9, [*left.graph.edges, *((i + 5, j + 5) for i, j in right.graph.edges)])
     assert MixingMatrix(W, apart).lambda_min_nz_IW == 0.0
+    # and two zero eigenvalues, one per component
+    assert validate_mixing(MixingMatrix(W, apart)).failures == ["null_space_dimension"]
+    assert validate_mixing(MixingMatrix(W, apart)).details["null_space_dimension"] == 2
     assert MixingMatrix(np.eye(1), Graph(1, [])).lambda_min_nz_IW == 0.0
     # lambda_max(I - W) = 2 on a 2-node path at t = 1
     with pytest.raises(ValueError, match="not below 2/lambda_max"):
