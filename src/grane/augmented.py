@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .games import Game, QuadraticGame, _numbers, box_bounds, clamp
+from .games import Game, QuadraticGame, _clip, _numbers, box_bounds, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -301,11 +301,11 @@ def affine_form(game: QuadraticGame, mixing: MixingMatrix, alpha):
     return J, f0
 
 
-def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
+def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, _project: bool = False):
     """The gradient step ``X -> X - s * F_a(X)``, as a callable
-    ``step(X, out=None)`` that writes the step of the ``n x n`` array ``X``
-    into the C-ordered ``out`` (not ``X`` itself) or a new C-ordered array,
-    and returns it.
+    ``step(X, out=None)`` that writes the step of the C-ordered array ``X``,
+    ``n x n`` or its ``n**2`` flat row, into the C-ordered ``out`` of the same
+    shape (not ``X`` itself) or a new array, and returns it.
 
     ``F_a`` is affine for a :class:`QuadraticGame`, so its step is precomputed
     once and equals the formula up to rounding. Up to ``N_AFFINE`` (12)
@@ -316,37 +316,73 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float):
     ``K = s alpha_i (Diag(a) + C)[i]`` in row ``i`` and ``c = s alpha * b``:
     the consensus step and a correction of the diagonal. The consensus step
     is one product with the precomputed ``I - s (I - W)``, or the
-    ``O(|E| n)`` jagged kernel where the mixing's rule ``128 |E| <= n**2``
-    holds (see :mod:`grane.network`). Any other :class:`Game` steps through
+    ``O(|E| n)`` jagged kernel where the mixing's sparsity rule holds (see
+    :mod:`grane.network`). Any other :class:`Game` steps through
     :func:`augmented_mapping`.
+
+    With ``_project`` it is the solvers' projected step
+    ``x -> P(x - s * F_a(x))`` on flat rows: ``x`` and ``out`` are ``n**2``
+    rows and ``out`` is required. The projection onto ``Omega_a`` clamps
+    only the diagonal: the affine form clips the whole row against bounds
+    that are infinite off the diagonal, the others clamp the strided
+    diagonal of ``out``. Both give the bits of the step followed by
+    :func:`clamp_diagonal`.
     """
-    if not isinstance(game, QuadraticGame):
-        return lambda X, out=None: np.subtract(
-            X, s * augmented_mapping(game, mixing, alpha, X), out=out
-        )
     n = game.n
-    if n <= N_AFFINE:
+    lo, hi = game.lo, game.hi
+    if isinstance(game, QuadraticGame) and n <= N_AFFINE:
         J, f0 = affine_form(game, mixing, alpha)
         step_matrix, offset = np.eye(n * n) - s * J, -s * f0
+        lo, hi = _estimate_bounds(game)
 
-        def affine(X, out=None):
-            out = np.empty((n, n)) if out is None else out
-            flat = out.reshape(-1)
-            step_matrix.dot(X.reshape(-1), flat)
-            flat += offset
+        def step(x, out):
+            step_matrix.dot(x, out)
+            out += offset
+            if _project:
+                _clip(out, lo, hi, out=out)
             return out
 
-        return affine
-    scale = s * np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    consensus_step = mixing.consensus_step(s)
-    K, c = scale[:, None] * game.jacobian(), scale * game.b
+    elif isinstance(game, QuadraticGame):
+        scale = s * np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
+        consensus_step = mixing.consensus_step(s)
+        K, c = scale[:, None] * game.jacobian(), scale * game.b
 
-    def structured(X, out=None):
-        out = consensus_step(X, out)
-        out.reshape(-1)[:: n + 1] -= np.einsum("ij,ij->i", K, X) + c
+        def step(x, out):
+            X = x.reshape(n, n)
+            consensus_step(X, out.reshape(n, n))
+            diagonal = out[:: n + 1]
+            diagonal -= np.einsum("ij,ij->i", K, X) + c
+            if _project:
+                clamp(diagonal, lo, hi)
+            return out
+
+    else:
+
+        def step(x, out):
+            F = augmented_mapping(game, mixing, alpha, x.reshape(n, n))
+            np.subtract(x, s * F.reshape(-1), out=out)
+            if _project:
+                clamp(out[:: n + 1], lo, hi)
+            return out
+
+    if _project:
+        return step
+
+    def shaped(X, out=None):
+        out = np.empty(X.shape) if out is None else out
+        step(X.reshape(-1), out.reshape(-1))
         return out
 
-    return structured
+    return shaped
+
+
+def _estimate_bounds(game: Game) -> tuple[np.ndarray, np.ndarray]:
+    """``Omega_a`` as bounds on the flat ``n**2`` row of an estimate matrix:
+    the players' boxes on the diagonal, infinite off it."""
+    n = game.n
+    lo, hi = np.full(n * n, -np.inf), np.full(n * n, np.inf)
+    lo[:: n + 1], hi[:: n + 1] = game.lo, game.hi
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

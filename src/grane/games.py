@@ -301,8 +301,9 @@ def quadratic_constants(game: QuadraticGame) -> GameConstants:
     the coupling matrix. The monotonicity constant is the smallest eigenvalue
     of the symmetric part of the Jacobian (exact for affine mappings),
     clamped at 0 when negative. With antisymmetric coupling that symmetric
-    part is ``Diag(a)``, so the restricted constant is ``min_i a_i`` exactly;
-    otherwise the restricted constant coincides with the global one.
+    part is exactly ``Diag(a)``, so both it and the restricted constant are
+    ``min_i a_i``, read without an eigensolve; otherwise the restricted
+    constant coincides with the global one.
     ``joint_lipschitz`` bounds the spectral norm of the Jacobian ``M`` by
     ``min(|M|_F, sqrt(|M|_1 |M|_inf))`` (Golub & Van Loan, *Matrix
     Computations*, section 2.3), two O(n^2) upper bounds on ``|M|_2``; the
@@ -311,9 +312,10 @@ def quadratic_constants(game: QuadraticGame) -> GameConstants:
     L_own = game.a.copy()
     L_other = np.linalg.norm(game.coupling, axis=1)
     M = game.jacobian()
-    sym = 0.5 * (M + M.T)
-    mu_F = max(0.0, float(np.linalg.eigvalsh(sym).min()))
-    mu_r = float(game.a.min()) if game.antisymmetric else mu_F
+    if game.antisymmetric:
+        mu_F = mu_r = float(game.a.min())  # a > 0, so no clamp at 0
+    else:
+        mu_F = mu_r = max(0.0, float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()))
     joint = min(np.linalg.norm(M), math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)))
     return GameConstants(
         mu_F=mu_F, L_own=L_own, L_other=L_other, mu_r=mu_r, joint_lipschitz=float(joint)

@@ -12,25 +12,34 @@ graph is disconnected.
 
 :class:`MixingMatrix` holds the one implementation of ``(I - W) X``
 (:meth:`~MixingMatrix.disagreement`) and of the consensus step
-``X - s (I - W) X`` (:meth:`~MixingMatrix.consensus_step`). Graphs with
-``JAGGED_DENSITY * |E| <= n**2`` (128), 127 nodes or more when connected,
-take the jagged-diagonal form, ``O(|E| n)`` per ``n x n`` product; all
-others, every bundled config among them, the dense product, ``O(n**3)``. The
-rule reads only ``n`` and the edge count, so a run takes the same form, and
-the same bits, every time. The crossover, in us per ``(I - W) X`` on one BLAS
-thread (dense / jagged, lazy-Laplacian weights; 2-core x86-64 guest, numpy
-2.4.6 with OpenBLAS 0.3.31):
+``X - s (I - W) X`` (:meth:`~MixingMatrix.consensus_step`). Graphs with at
+most ``n**2 / max(128, 18 n**(1/3))`` edges take the jagged-diagonal form,
+``O(|E| n)`` per ``n x n`` product; all others, every bundled config among
+them, the dense product, ``O(n**3)``. A connected graph has ``n - 1`` edges
+or more, so it takes the jagged form from 127 nodes on. The rule reads only
+``n`` and the edge count, in exact integers (``JAGGED_DENSITY * |E| <=
+n**2`` and ``JAGGED_GROWTH * |E|**3 <= n**5``), so a run takes the same
+form, and the same bits, every time. Its growth is fitted to the measured
+break-even on random connected graphs of 400 to 2000 nodes, which falls
+from about ``n**2 / 130`` at n = 400 to ``n**2 / 220`` at n = 2000: the
+dense product keeps its speed per entry while the gathers of the jagged one
+slow down as the rows leave the cache. The crossover, in us per
+``(I - W) X`` on one BLAS thread (dense / jagged, lazy-Laplacian weights;
+2-core x86-64 guest, numpy 2.4.6 with OpenBLAS 0.3.31):
 
     ==============================  =======  ========  ==========  =============
     graph                           n = 100  n = 150   n = 300     n = 1000
     ==============================  =======  ========  ==========  =============
-    random tree                     49 / 69  153 / 100 1064 / 448  40584 / 6342
-    path                            53 / 32  149 / 66  1293 / 355  40707 / 6368
-    star                            35 / 40  137 / 81  1064 / 419  35469 / 9356
-    random, ``|E| = n**2 / 128``    33 / 53  131 / 87  1087 / 657  34636 / 39728
+    random tree                     48 / 71  131 / 76  952 / 376   30119 / 5835
+    path                            35 / 30  131 / 55  954 / 388   29371 / 5648
+    star                            34 / 36  129 / 66  947 / 918   29210 / 7638
+    random, at the bound            34 / 47  142 / 92  1142 / 765  29169 / 26835
     ==============================  =======  ========  ==========  =============
 
-Metropolis weights, one per entry, cost the jagged form up to a third more.
+The last row has 703 and 5555 edges at n = 300 and 1000, the rule's bound,
+175 at n = 150, the bound of 128, and 99 at n = 100, a tree, as the bound (78)
+admits no connected graph there. Metropolis weights, one per entry, cost the
+jagged form up to a third more.
 """
 
 from __future__ import annotations
@@ -55,8 +64,10 @@ __all__ = [
 ]
 
 # (I - W) X runs over jagged diagonals on graphs with at most
-# n**2 / JAGGED_DENSITY edges, as one dense product on others (see MixingMatrix)
+# n**2 / max(JAGGED_DENSITY, cbrt(JAGGED_GROWTH * n)) edges, as one dense
+# product on others (see the module docstring)
 JAGGED_DENSITY = 128
+JAGGED_GROWTH = 18**3
 # jagged diagonals shorter than this after the 0th are summed together
 _JAGGED_ROWS = 8
 
@@ -181,7 +192,7 @@ class MixingMatrix:
         eigs = self.eigvals_IW = np.linalg.eigvalsh(np.eye(self.n) - W)
         self.sigma_max_IW = float(np.abs(eigs).max())
         self.lambda_min_nz_IW = max(0.0, float(eigs[1])) if self.n > 1 else 0.0
-        sparse = JAGGED_DENSITY * len(graph.edges) <= self.n**2
+        sparse = _is_sparse(self.n, len(graph.edges))
         self.form = "jagged" if sparse else "dense"
         if sparse:
             self._order, self._inverse, self._columns, self._tail, self._weights = _jagged_diagonals(W)
@@ -262,6 +273,12 @@ class MixingMatrix:
             f"MixingMatrix(n={self.n}, sigma_max={self.sigma_max_IW:.6g}, "
             f"lambda_min_nz={self.lambda_min_nz_IW:.6g})"
         )
+
+
+def _is_sparse(n: int, edges: int) -> bool:
+    """Whether ``n`` nodes and ``edges`` edges take the jagged form: at most
+    ``n**2 / max(128, 18 n**(1/3))`` edges, in exact integer arithmetic."""
+    return JAGGED_DENSITY * edges <= n**2 and JAGGED_GROWTH * edges**3 <= n**5
 
 
 def _jagged_diagonals(W):

@@ -19,8 +19,13 @@ augmented mapping ``F_a``:
 
 Both distributed solvers form every gradient step ``X - s * F_a(X)``
 through :func:`~grane.augmented.gradient_map`, which describes its forms.
-Residual records always evaluate ``F_a`` itself, so the ``vi_residual``
-checks the step independently.
+They step the flat ``n**2`` rows of the estimate matrices, and every
+projected step ``P(X - s * F_a(X))`` is one call: the step projects onto the
+diagonal boxes itself. Acc-GRANE's averaging step stays unprojected, and it
+forms ``X_k`` as one clip of the average against bounds that are infinite
+off the diagonal. Matrices are formed from the rows only for the records and
+the returned iterate. Residual records always evaluate ``F_a`` itself, so
+the ``vi_residual`` checks the step independently.
 
 Each solver only supplies its step, ``step(x, out)``, which writes the next
 iterate into ``out``; one driver, :func:`_iterate`, counts the iterations,
@@ -49,13 +54,14 @@ import numpy as np
 from .augmented import (
     AugmentedConfig,
     StrongMonotonicityUnavailableError,
+    _estimate_bounds,
     augmented_mapping,
-    clamp_diagonal,
     consensus_gap,
     gradient_map,
     is_feasible_estimate,
+    project_estimates,
 )
-from .games import Game, _number, _step, _tolerance, _whole, clamp
+from .games import Game, _clip, _number, _step, _tolerance, _whole, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -201,7 +207,8 @@ def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha) -> d
         rel = 0.0 if num == 0.0 else float("inf")
     else:
         rel = num**2 / den**2
-    step_point = clamp_diagonal(X - augmented_mapping(game, mixing, alpha, X), game.lo, game.hi)
+    step_point = X - augmented_mapping(game, mixing, alpha, X)
+    clamp(step_point.reshape(-1)[:: game.n + 1], game.lo, game.hi)  # P onto Omega_a
     return {
         "fro_residual": num,
         "relative_error": rel,
@@ -230,7 +237,9 @@ def _norms(block, minus, scratch) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=None, record=None):
     """Iterate ``step(x_k, out)``, which writes ``x_{k+1}`` into ``out``; both
-    are C-ordered slots of the ring, in the shape of ``x``.
+    are C-ordered slots of the ring, in the shape of ``x``. The distributed
+    solvers pass the flat row of their start matrix, so their projected steps
+    write straight into ring rows.
 
     Returns a copy of the last iterate, the step count, the last step's
     movement (infinite when no step was taken) and why the run stopped:
@@ -380,7 +389,7 @@ def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
     """``X0`` as a C-ordered float array, or the zero matrix with a clamped
     diagonal; every matrix the solvers derive from it is C-ordered too."""
     if X0 is None:
-        return clamp_diagonal(np.zeros((game.n, game.n)), game.lo, game.hi)
+        return project_estimates(game.boxes, np.zeros((game.n, game.n)))
     X = np.array(X0, dtype=float, order="C")
     if not is_feasible_estimate(game.boxes, X):
         raise ValueError(f"{name} has an infeasible diagonal")
@@ -389,19 +398,23 @@ def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
 
 def _traced(step, X, sc: SolverConfig, max_iters, game, mixing, alpha, reference, steps):
     """Run a distributed solver's ``step`` from ``X`` through :func:`_iterate`
-    with its trace: the distance to ``reference`` at every iterate and the
+    on the flat ``n**2`` rows of the estimate matrices, with its trace: the
+    distance to ``reference`` at every iterate and the
     :func:`residual_metrics` against it and ``X`` every ``sc.trace_stride``
-    iterations and at the last. Returns the last iterate, the trace and the
-    step count; ``trace.metadata`` holds ``steps`` and the stop reason."""
+    iterations and at the last. Returns the last iterate as a matrix, the
+    trace and the step count; ``trace.metadata`` holds ``steps`` and the stop
+    reason."""
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
     X_ref = None if reference is None else np.asarray(reference, dtype=float)
 
-    def record(X_k):
-        return residual_metrics(X_k, X_ref, X, game, mixing, alpha)
+    def record(x_k):
+        return residual_metrics(x_k.reshape(X.shape), X_ref, X, game, mixing, alpha)
 
-    X_last, k, _, reason = _iterate(step, X, max_iters, sc.stop_tol, trace, X_ref, record)
+    x_last, k, _, reason = _iterate(
+        step, X.reshape(-1), max_iters, sc.stop_tol, trace, X_ref, record
+    )
     trace.metadata["stop_reason"] = reason
-    return X_last, trace, k
+    return x_last.reshape(X.shape), trace, k
 
 
 def grane_run(
@@ -422,12 +435,7 @@ def grane_run(
     """
     X = _start_matrix(game, X0, "X0")
     lam = sc.resolve_step(cfg)
-    lo, hi = game.lo, game.hi
-    gradient_step = gradient_map(game, mixing, cfg.alpha, lam)
-
-    def step(X, out):
-        clamp_diagonal(gradient_step(X, out), lo, hi)
-
+    step = gradient_map(game, mixing, cfg.alpha, lam, _project=True)
     X, trace, k = _traced(step, X, sc, sc.max_iters, game, mixing, cfg.alpha, reference, lam)
     trace.metadata["iterations"] = k
     return X, trace
@@ -465,18 +473,17 @@ def acc_grane_run(
     mu, L = cfg.mu_Fa, cfg.L_Fa
     theta = 1.0 / (1.0 + L / mu)
     Y = _start_matrix(game, Y0, "Y0")
-    lo, hi = game.lo, game.hi
+    lo, hi = _estimate_bounds(game)
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
     averaging_step = gradient_map(game, mixing, cfg.alpha, steps["averaging"])
-    gradient_step = gradient_map(game, mixing, cfg.alpha, steps["gradient"])
-    B = averaging_step(Y)  # average of Y_t - (1/mu) F_a(Y_t)
+    gradient_step = gradient_map(game, mixing, cfg.alpha, steps["gradient"], _project=True)
+    B = averaging_step(Y.reshape(-1))  # average of Y_t - (1/mu) F_a(Y_t)
     work = np.empty_like(B)  # X_k, then the averaging step of Y_{k+1}
 
     def step(A, out):
         """Step to ``Y_{k+1}`` in ``out``; fold it into ``B``, then fold ``A``
         into it."""
-        np.copyto(work, B)
-        clamp_diagonal(gradient_step(clamp_diagonal(work, lo, hi), out), lo, hi)
+        gradient_step(_clip(B, lo, hi, out=work), out)
         np.subtract(averaging_step(out, work), B, out=work)
         np.add(B, np.multiply(work, theta, out=work), out=B)
         np.subtract(out, A, out=out)

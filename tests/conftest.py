@@ -3,6 +3,8 @@ import pytest
 
 from grane import (
     BoxSet,
+    Game,
+    GameConstants,
     QuadraticGame,
     make_quadratic_game,
     mixing_from_laplacian,
@@ -55,6 +57,30 @@ def grane_player_step(game: QuadraticGame, mixing, alpha, lam: float, X) -> np.n
                 box = game.boxes[i]
                 out[i, l] = min(max(out[i, l] - lam * alpha[i] * grad_i, box.lo), box.hi)
     return out
+
+
+class QuarticGame(Game):
+    """A quadratic game plus the convex own cost ``q x_i**4 / 4`` of every
+    player. Its mapping is not affine, so ``gradient_map`` forms each step
+    from ``augmented_mapping``."""
+
+    def __init__(self, base: QuadraticGame, q: float):
+        self.base, self.q = base, q
+        # on the boxes, the derivative q x**3 of the new term is monotone and
+        # 3 q r**2-Lipschitz, r the largest bound in magnitude
+        r2 = np.maximum(np.abs(base.lo), np.abs(base.hi)) ** 2
+        c = base.constants
+        constants = GameConstants(mu_F=c.mu_F, L_own=c.L_own + 3 * q * r2, L_other=c.L_other,
+                                  mu_r=c.mu_r, joint_lipschitz=c.joint_lipschitz + 3 * q * r2.max())
+        super().__init__(base.n, base.boxes, constants)
+
+    def mapping(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.base.mapping(x) + self.q * x**3
+
+    def local_gradients(self, X):
+        X = np.asarray(X, dtype=float)
+        return self.base.local_gradients(X) + self.q * X.diagonal() ** 3
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from grane import (
     make_augmented_config,
     make_quadratic_game,
     mixing_from_laplacian,
+    path_graph,
     project_estimates,
     random_tree,
     residual_metrics,
@@ -35,7 +36,7 @@ from grane.augmented import N_AFFINE, clamp_diagonal, gradient_map
 from grane.experiment import bundled_config
 from grane.solvers import _RING_BYTES, _RING_ITERATES, _iterate, _norms, _stacked_dot
 
-from conftest import linear_solve_equilibrium
+from conftest import QuarticGame, linear_solve_equilibrium
 
 
 def _norm(d):
@@ -214,6 +215,32 @@ def test_divergence_matches_the_stepwise_loop(algorithm, n):
             messages.add(expected[1].split()[0])
     # both kinds of divergence occur among the scales
     assert messages == {"non-finite", "step"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithm", ["grane", "acc-grane"])
+@pytest.mark.parametrize("n", [3, N_AFFINE + 3])
+def test_non_quadratic_steps_match_the_stepwise_loop(algorithm, n):
+    # the step through augmented_mapping, with its projection, converging and diverging
+    game = QuarticGame(make_quadratic_game(n, 3, b_range=(-3, 3), box_range=(1.0, 2.0)), 0.5)
+    mixing = mixing_from_laplacian(path_graph(n))
+    cfg = make_augmented_config(game, mixing, alpha=0.3)
+    X0 = project_estimates(game.boxes, np.random.default_rng(n).uniform(-2, 2, size=(n, n)))
+    X_ref = consensual_matrix(centralized_gradient_play(game))
+    raised = []
+    for scale in (1.0, 30.0, 1e4):
+        if algorithm == "grane":
+            sc = SolverConfig(step=0.2 * scale, max_iters=300, trace_stride=7)
+            args = (game, mixing, cfg, sc, X0, X_ref)
+            got, expected = outcome(grane_run, *args), outcome(grane_stepwise, *args)
+        else:
+            fast = dataclasses.replace(cfg, L_Fa=cfg.L_Fa / scale, mu_Fa=cfg.mu_Fa / scale)
+            sc = SolverConfig(algorithm="acc-grane", max_iters=300, trace_stride=7)
+            args = (game, mixing, fast, sc, X0, X_ref)
+            got, expected = outcome(acc_grane_run, *args), outcome(acc_stepwise, *args)
+        assert got == expected
+        raised.append(expected[0] == "raised")
+    assert raised[0] is False and raised[-1] is True
 
 
 def contraction(calls=None, fail_at=None, rates=(0.9,)):

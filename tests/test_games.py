@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from grane import (
     make_quadratic_game,
     quadratic_constants,
 )
-from grane.games import box_bounds, clamp
+from grane.experiment import bundled_config, load_experiment
+from grane.games import _clip, box_bounds, clamp
 
 from conftest import linear_solve_equilibrium
 
@@ -129,6 +132,22 @@ def test_constants_decoupled():
     assert c.mu_F == 1.5
     assert c.mu_r == 1.5
     assert_allclose(c.L_other, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("source", ["g2", "g2r", "accel", "paper_sec5", 300])
+def test_antisymmetric_constants_have_the_bits_of_the_eigensolve(source):
+    # sym(Diag(a) + C) is exactly Diag(a), so min a_i is its smallest eigenvalue
+    if source == 300:
+        game = make_quadratic_game(300, 11)
+    else:
+        game = load_experiment(bundled_config(f"{source}.json")).game
+    assert game.antisymmetric
+    M = game.jacobian()
+    eigensolve = max(0.0, float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()))
+    c = game.constants
+    for value in (c.mu_F, c.mu_r):
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(eigensolve).tobytes()
 
 
 def test_constants_clamped_when_indefinite():
@@ -287,3 +306,35 @@ def test_clamp_is_ndarray_clip_bit_for_bit(n, data):
             assert clamp(v, *bounds) is v
             view(expected).clip(*bounds, out=view(expected))
             assert got.tobytes() == expected.tobytes()
+
+
+def test_clip_against_infinite_bounds_keeps_every_bit():
+    # the projected step clips whole rows against bounds that are infinite off
+    # the diagonal; the entries there keep their bits, NaN (payload and sign
+    # too) and infinities included, so the driver's non-finite guard sees them
+    payload = np.frombuffer(np.uint64(0x7FF8_0000_0000_1234).tobytes(), dtype=float)[0]
+    special = [np.nan, -np.nan, payload, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2e-308 / 3, 1.5, -7.25, 1e308, -1e308]
+    row = np.array(special * 5)  # long enough for numpy's vector loops
+    for lo, hi in ((np.full(row.size, -np.inf), np.full(row.size, np.inf)), (-np.inf, np.inf)):
+        got = row.copy()
+        assert _clip(got, lo, hi, out=got) is got
+        assert got.tobytes() == row.tobytes()
+    # finite bounds on one entry in each run of 15 (a diagonal) change only those
+    lo, hi = np.full(row.size, -np.inf), np.full(row.size, np.inf)
+    lo[::15], hi[::15] = -1.0, 1.0
+    got = row.copy()
+    _clip(got, lo, hi, out=got)
+    expected = row.copy()
+    expected[::15] = row[::15].clip(-1.0, 1.0)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_clip_is_the_ufunc_under_its_numpy_1_name():
+    # numpy 1.x reaches the same ufunc as np.core.umath.clip, the fallback spelling
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        legacy = np.core.umath.clip
+    assert isinstance(_clip, np.ufunc)
+    assert legacy is _clip
+

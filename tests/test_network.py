@@ -17,7 +17,7 @@ from grane import (
     validate_mixing,
 )
 from grane.experiment import bundled_config, load_experiment, validate_config
-from grane.network import JAGGED_DENSITY
+from grane.network import _is_sparse
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_disagreement_matches_the_dense_product(n, topology, construction, seed,
     graph = {"path": path_graph, "tree": lambda k: random_tree(k, seed), "complete": complete_graph,
              "inline": lambda k: _sparse_graph(k, seed)}[topology](n)
     m = construction(graph)
-    sparse = JAGGED_DENSITY * len(graph.edges) <= n * n
+    sparse = _is_sparse(n, len(graph.edges))
     assert m.form == ("jagged" if sparse else "dense")
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, width or n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
@@ -290,3 +290,48 @@ def test_kernel_form_follows_the_rule():
     assert mixing_from_laplacian(random_tree(126, 1)).form == "dense"
     assert mixing_from_laplacian(complete_graph(300)).form == "dense"
     assert load_experiment(bundled_config("paper_sec5.json")).mixing.form == "dense"
+
+
+# measured crossover points: us per consensus step X - s (I - W) X, dense /
+# jagged, on random connected graphs with n**2 // d edges (one BLAS thread of
+# a 2-core x86-64 guest, numpy 2.4.6, OpenBLAS 0.3.31; two draws where listed
+# twice), lazy-Laplacian then Metropolis weights, and the faster form, which
+# the rule takes
+MEASURED = [
+    (450, 128, "2893 / 3130; 2877 / 3716", "dense"),
+    (450, 256, "2803 / 1696; 2769 / 2005", "jagged"),
+    (600, 128, "8329 / 8418, 6305 / 7744; 6597 / 9310, 6072 / 8793", "dense"),
+    (600, 192, "7238 / 5954, 6192 / 5181; 6708 / 6526, 6216 / 5950", "jagged"),
+    (800, 160, "14261 / 15960, 14093 / 14596; 15548 / 19282, 15726 / 16754", "dense"),
+    (1000, 160, "28185 / 31803, 27656 / 58548; 29413 / 37416, 27222 / 31404", "dense"),
+    (1000, 192, "31086 / 28332, 27748 / 25177; 36619 / 32911, 26810 / 27306", "jagged"),
+    (1200, 224, "45115 / 35582; 53660 / 41229", "jagged"),
+    (1600, 192, "106851 / 105316; 116747 / 130010", "dense"),
+    (1600, 256, "121455 / 91984; 124095 / 107403", "jagged"),
+    (2000, 192, "228412 / 254106; 222901 / 263405", "dense"),
+    (2000, 320, "213881 / 143682; 240565 / 181470", "jagged"),
+]
+
+
+@pytest.mark.parametrize("n, d, times, form", MEASURED,
+                         ids=[f"n{n}-d{d}" for n, d, *_ in MEASURED])
+def test_sparsity_rule_at_the_measured_crossover(n, d, times, form):
+    assert _is_sparse(n, n * n // d) == (form == "jagged")
+
+
+def test_sparsity_rule_grows_with_n():
+    # at most n**2 / max(128, 18 n**(1/3)) edges: 128 up to n = 359, then 18 n**(1/3)
+    for n in (2, 20, 126, 127, 200, 359, 360, 600, 1000, 5000):
+        bound = max(128.0, 18.0 * n ** (1 / 3))
+        for edges in (n - 1, n * n // 128, n * n // 180, n * n // 300):
+            if abs(edges * bound / (n * n) - 1.0) > 1e-9:  # off the boundary
+                assert _is_sparse(n, edges) == (edges * bound <= n * n)
+    # a connected graph has n - 1 edges or more: jagged from 127 nodes on, at every n
+    assert not _is_sparse(126, 125)
+    assert all(_is_sparse(n, n - 1) for n in range(127, 3000))
+    # a Metropolis-weighted graph at the dense point (600, 128) builds the dense form
+    rng, edges = np.random.default_rng(600), set(random_tree(600, 600).edges)
+    while len(edges) < 600 * 600 // 128:
+        i, j = sorted(rng.choice(600, size=2, replace=False).tolist())
+        edges.add((i, j))
+    assert mixing_metropolis(Graph(600, edges)).form == "dense"

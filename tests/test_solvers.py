@@ -11,8 +11,6 @@ from grane import (
     AugmentedConfig,
     BoxSet,
     DivergenceError,
-    Game,
-    GameConstants,
     QuadraticGame,
     SolverConfig,
     StrongMonotonicityUnavailableError,
@@ -35,7 +33,7 @@ from grane.experiment import bundled_config, load_experiment
 from grane.games import clamp
 from grane.solvers import reference_step
 
-from conftest import grane_player_step, linear_solve_equilibrium
+from conftest import QuarticGame, grane_player_step, linear_solve_equilibrium
 
 
 @pytest.fixture
@@ -134,30 +132,6 @@ def test_grane_step_matches_rowwise_oracle(n, m, seed, topology, antisymmetric):
         # a step given as a reciprocal, as Acc-GRANE's 1/mu and 1/L are
         step = gradient_map(game, mixing, alpha, 1.0 / (1.0 / lam))
         assert_allclose(clamp_diagonal(step(X0), game.lo, game.hi), oracle, rtol=0, atol=1e-12)
-
-
-class QuarticGame(Game):
-    """A quadratic game plus the convex own cost ``q x_i**4 / 4`` of every
-    player. Its mapping is not affine, so ``gradient_map`` forms each step
-    from ``augmented_mapping``."""
-
-    def __init__(self, base: QuadraticGame, q: float):
-        self.base, self.q = base, q
-        # on the boxes, the derivative q x**3 of the new term is monotone and
-        # 3 q r**2-Lipschitz, r the largest bound in magnitude
-        r2 = np.maximum(np.abs(base.lo), np.abs(base.hi)) ** 2
-        c = base.constants
-        constants = GameConstants(mu_F=c.mu_F, L_own=c.L_own + 3 * q * r2, L_other=c.L_other,
-                                  mu_r=c.mu_r, joint_lipschitz=c.joint_lipschitz + 3 * q * r2.max())
-        super().__init__(base.n, base.boxes, constants)
-
-    def mapping(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.base.mapping(x) + self.q * x**3
-
-    def local_gradients(self, X):
-        X = np.asarray(X, dtype=float)
-        return self.base.local_gradients(X) + self.q * X.diagonal() ** 3
 
 
 @pytest.mark.parametrize("n", [3, N_AFFINE + 3])
