@@ -23,22 +23,32 @@ sampling-based equilibrium certificate.
 The step's precomputed forms are described at :func:`gradient_map`.
 
 :func:`consensus_gap`, the largest distance between two rows, is exact bit
-for bit at every size. Past ``n = 40`` it screens the row pairs first: Gram
-products of centered, power-of-two-scaled row tiles estimate every squared
-distance, a rounding bound (dot products, centering and the exact formula,
-times two) brackets each estimate, and only the pairs whose upper bound
-reaches the largest lower bound are formed by the exact formula. Non-finite
-and extremely small inputs skip the screen and form every pair.
+for bit at every size and takes a stack of matrices at once. Up to
+``n = 40`` it gathers the row pairs ``i < j`` of the whole stack and forms
+each by the exact formula. Past it, one matrix at a time, it forms only the
+pairs that can hold the maximum. Past one Gram tile, a prefilter first drops
+the rows whose distance to the column mean, plus the largest such distance,
+falls short of the largest distance among the four rows farthest from it.
+Then Gram products of centered, power-of-two-scaled tiles of the rows left
+estimate every squared distance, a rounding bound (dot products, centering
+and the exact formula, times two) brackets each estimate, and only the pairs
+whose upper bound reaches the largest lower bound are formed by the exact
+formula. Non-finite and extremely small inputs skip prefilter and screen and
+form every pair.
+
+:func:`augmented_mapping` and :meth:`MixingMatrix.disagreement` take stacks
+too, so the solvers record a chunk of iterates in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .games import Game, QuadraticGame, _clip, _numbers, box_bounds, clamp
+from .games import Game, QuadraticGame, _clip, _numbers, _vecdot, box_bounds, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -84,106 +94,170 @@ def consensual_matrix(x) -> np.ndarray:
 _GAP_BLOCK = 1 << 16
 
 
-def consensus_gap(X) -> float:
-    """Largest Euclidean distance between any two rows of ``X``.
+def consensus_gap(X):
+    """Largest Euclidean distance between any two rows of ``X``, as a float;
+    for a stack ``(B, n, m)`` of matrices, the array of each one's.
 
     The value is ``sqrt`` of the largest ``sum((X[i] - X[j])**2)`` over the
-    row pairs, each pair's differences squared and summed along the row;
-    ``sqrt`` is monotone and correctly rounded, so one root of the largest
-    sum is the largest root bit for bit. A NaN entry gives NaN.
+    row pairs ``i < j``, each pair's differences squared and summed along
+    the row; ``sqrt`` is monotone and correctly rounded, so one root of the
+    largest sum is the largest root bit for bit. A NaN entry gives NaN; a
+    single row gives 0.0. No row is paired with itself, so a single infinite
+    entry gives inf: a deliberate change from the earlier all-pairs loop,
+    whose self pairs gave NaN (``inf - inf``). Two infinite entries of the
+    same sign in one column still give NaN. Each matrix of a stack keeps the
+    bits it has alone.
 
-    Small inputs, whose ``n x n x m`` pair tensor fits one buffer of
-    ``_GAP_BLOCK`` floats (``n <= 40`` for square ``X``), form every pair in
-    that buffer. Larger ones screen the pairs first with tiled Gram products
-    and form only the pairs that may hold the maximum (:func:`_screened_max`),
-    which gives the same bits; equal rows give 0.0 at once. Non-finite
-    inputs, and inputs too small to scale into the normal range (largest
-    entry off the column mean below about ``1e-155``), keep the all-pairs
-    loop. Every buffer holds about ``_GAP_BLOCK`` floats or fewer.
+    Matrices whose ``n x n x m`` pair tensor fits ``_GAP_BLOCK`` floats
+    (``n <= 40`` for square ones) gather their row pairs directly, the pairs
+    of a whole stack at once (:func:`_pair_sums`). Larger ones are taken one
+    at a time and form only the pairs that may hold the maximum
+    (:func:`_screened_max`), which gives the same bits; equal rows give 0.0
+    at once. Non-finite inputs, and inputs too small to scale into the
+    normal range (largest entry off the column mean below about
+    ``1e-155``), form every pair (:func:`_all_pairs_max`). Past a stack's
+    index arrays, every buffer holds about ``_GAP_BLOCK`` floats or fewer.
     """
     X = np.asarray(X, dtype=float)
-    screened = _screened_max(X) if X.shape[0] * X.size > _GAP_BLOCK else None
-    return float(np.sqrt(_all_pairs_max(X) if screened is None else screened[0]))
+    stack = X.reshape((-1,) + X.shape[-2:])
+    B, n, m = stack.shape
+    if n * n * m <= _GAP_BLOCK:
+        p, q = _pairs(n)
+        offsets = np.arange(0, B * n, n)[:, None]
+        sums = _pair_sums(stack.reshape(B * n, m), (offsets + p).ravel(), (offsets + q).ravel())
+        gaps = sums.reshape(B, p.size).max(axis=1, initial=0.0)
+    else:
+        gaps = np.array([_largest_pair(x) for x in stack])
+    gaps = np.sqrt(gaps)
+    return float(gaps[0]) if X.ndim == 2 else gaps
 
 
-def _all_pairs_max(X) -> float:
-    """The largest squared row distance, every unordered pair formed once.
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int):
+    """The row pairs ``i < j`` of ``n`` rows, as read-only index arrays
+    ``(p, q)``."""
+    p, q = np.triu_indices(n, 1)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
 
-    A block of rows is compared only with the rows from the block's first
-    row on, a slab of them at a time, and the differences are squared in one
-    buffer of about ``_GAP_BLOCK`` floats, allocated once per call.
+
+def _pair_sums(X, p, q) -> np.ndarray:
+    """The squared distances between the rows ``X[p]`` and ``X[q]``.
+
+    The rows are gathered a chunk of pairs at a time, about ``_GAP_BLOCK /
+    4`` floats a side: the size that measured fastest. Per matrix of a stack
+    of 8 at n = 20, that chunk took 9.7 us, one of ``_GAP_BLOCK`` floats
+    19.7 us and one of 1024 floats 18.5 us, in the same order at n = 12, 30
+    and 40 (one BLAS thread of a 2-core x86-64 guest, numpy 2.4.6).
     """
-    n, m = X.shape
-    rows = min(n, max(1, _GAP_BLOCK // X.size))
-    slab = min(n, max(1, _GAP_BLOCK // (rows * m)))
-    buf = np.empty(rows * slab * m)
-    gap = 0.0
-    for i in range(0, n, rows):
-        block = X[i : i + rows, None, :]
-        for j in range(i, n, slab):
-            other = X[None, j : j + slab, :]
-            b, c = block.shape[0], other.shape[1]
-            diff = buf[: b * c * m].reshape(b, c, m)
-            np.subtract(block, other, out=diff)
-            gap = np.maximum(gap, _largest_square_sum(diff))
-    return gap
-
-
-def _pairs_max(A, B, p, q) -> float:
-    """The largest squared distance between rows ``A[p]`` and ``B[q]``, in
-    chunks of about ``_GAP_BLOCK / 4`` floats."""
-    chunk = max(1, _GAP_BLOCK // (4 * A.shape[1]))
-    gap = 0.0
+    chunk = max(1, _GAP_BLOCK // (4 * X.shape[1]))
+    sums = np.empty(p.size)
     for k in range(0, p.size, chunk):
-        gap = max(gap, _largest_square_sum(A[p[k : k + chunk]] - B[q[k : k + chunk]]))
-    return gap
+        diff = X.take(p[k : k + chunk], axis=0)
+        diff -= X.take(q[k : k + chunk], axis=0)
+        _square_sums(diff, out=sums[k : k + chunk])
+    return sums
 
 
-def _largest_square_sum(diff) -> float:
-    """Square the row differences ``diff`` in place and return the largest
-    sum along the last axis: the one formula every pair is formed with."""
+def _square_sums(diff, out=None) -> np.ndarray:
+    """Square the row differences ``diff`` in place and sum them along the
+    last axis: the one formula every pair is formed with."""
     np.square(diff, out=diff)
-    return diff.sum(axis=-1).max()
+    return diff.sum(axis=-1, out=out)
+
+
+def _largest_pair(X):
+    """The largest squared row distance of one matrix too large to gather
+    every pair at once: screened where the screen applies, else every pair."""
+    screened = _screened_max(X)
+    return _all_pairs_max(X) if screened is None else screened[0]
+
+
+def _all_pairs_max(X):
+    """The largest squared row distance, every pair ``i < j`` formed once:
+    row ``i`` against the rows after it, a slab of about ``_GAP_BLOCK``
+    floats at a time."""
+    n, m = X.shape
+    slab = max(1, _GAP_BLOCK // m)
+    gap = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n, slab):
+            gap = np.maximum(gap, _square_sums(X[i] - X[j : j + slab]).max())
+    return gap
 
 
 def _screened_max(X):
-    """``(largest squared row distance, pairs formed exactly)`` of the
-    ``n x m`` array ``X``, found by screening; None where the screen does not
-    apply: a non-finite entry, or a scale exponent outside the normal range.
-    Equal rows give ``(0.0, 0)``.
+    """``(largest squared row distance, rows kept, pairs formed exactly)`` of
+    the ``n x m`` array ``X``, found by a prefilter and a screen; None where
+    they do not apply: a non-finite entry, or a scale exponent outside the
+    normal range. Equal rows give ``(0.0, n, 0)``.
 
-    **Screen.** The rows are centered on the column mean ``mu`` and scaled
+    **Centering.** The rows are centered on the column mean ``mu`` and scaled
     by ``2**s``, chosen so that every centered entry is below ``2**e`` in
     magnitude with ``4 m 4**e <= 2**1020``: no product, sum or estimate
     overflows, and only an entry over ``2**1000`` times smaller than the
-    largest can make a product subnormal. Over row tiles ``I <= J`` of ``t``
-    rows (``4 t m`` and ``4 t**2`` at most ``_GAP_BLOCK``), one product
-    ``G = C_I @ C_J.T`` gives the estimates ``d2_ij = N_i + N_j - 2 G_ij``,
-    where ``N_i`` is the diagonal of the tile ``C_J @ C_J.T`` holding row
-    ``i``. Each tile keeps the largest estimate of its pairs ``i < j``.
+    largest can make a product subnormal. Below, ``c_i`` is row ``i`` so
+    centered and scaled, ``N_i`` its squared norm as computed and ``r_i``
+    the root of that; ``D_ij`` is the exact distance of rows ``i`` and ``j``
+    times ``2**s``, ``f_ij`` the exactly formed sum of the pair (see
+    :func:`consensus_gap`) times ``4**s``, and ``u = 2**-53``. The bounds
+    hold to first order in ``u``. ``rel = (8 m + 40) u`` is at least twice
+    each relative bound, which covers the second-order terms for ``m`` far
+    below ``1 / u`` and the rounding of the tests themselves, and
+    ``slack = m (2**(e - 1060) + 2**(2 s - 1070))`` covers underflow in the
+    products, in the scaling and in the exact squares, with the same factor
+    of two or more.
 
-    **Bound.** With ``u = 2**-53`` and ``f_ij`` the exactly formed sum of
-    pair ``i, j`` scaled by ``4**s``, to first order in ``u``:
+    **Prefilter.** ``best`` is the largest squared distance among the 4 rows
+    of largest ``N_i``, formed by the exact formula on their ``c_i``. A row
+    stays when ``(r_i + r_max)**2 >= best (1 - rel) - slack``, ``r_max`` the
+    largest ``r_i``. Both rows of the pair ``i, j`` with the largest
+    ``f_ij`` stay:
+
+    * through ``mu``, ``D_ij <= rho_i + rho_max``, where ``rho_i`` is
+      ``2**s`` times the exact distance of row ``i`` to ``mu``;
+    * the centering rounds each entry by a relative ``u``, ``N_i`` is off
+      by at most ``gamma_m |c_i|**2`` (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, section 3.1; any summation order, FMA or not)
+      and the root by a relative ``u``: ``rho_i <= (1 + (m/2 + 2) u) r_i``;
+    * ``best``, the sum of a pair ``a, b``, is off by at most ``(m + 2) u``
+      times it, and the centering moves that pair's distance by at most
+      ``2 u rho_max``: ``D_ab**2 >= best (1 - (m + 2) u) - 8 u rho_max**2``;
+    * ``f_ij >= f_ab``, so ``D_ij**2 >= (1 - 2 (m + 2) u) D_ab**2``.
+
+    Together ``(r_i + r_max)**2 >= best (1 - (4 m + 18) u)``, within half
+    the margin. Rows at equal distance to ``mu`` all stay. The prefilter
+    runs only where the screen takes more than one tile (``n > t`` below):
+    at one tile it saved nothing on GRANE iterates (n = 100: 155 us a call
+    with it or without) and cost 35% on rows it could not drop (n = 60 and
+    100); at n = 300 it keeps 174 of the 300 rows of a GRANE iterate and
+    takes a call from 1.65 to 0.94 ms, and costs about 12% on 300 random
+    normal rows, which it cannot drop (one BLAS thread of a 2-core x86-64
+    guest, numpy 2.4.6). These are call timings only: no benchmark workload
+    has one-tile matrices or rows past one tile that the prefilter cannot
+    drop, so neither side of the ``n > t`` choice is measured end to end.
+
+    **Screen.** Over tiles ``I <= J`` of ``t`` rows left (``4 t m`` and
+    ``4 t**2`` at most ``_GAP_BLOCK``), one product ``G = C_I @ C_J.T``
+    gives the estimates ``d2_ij = N_i + N_j - 2 G_ij``, where ``N_i`` is the
+    diagonal of the tile ``C_J @ C_J.T`` holding row ``i``. Each tile keeps
+    the largest estimate of its pairs ``i < j``.
+
+    **Bound.** With ``f_ij`` as above:
 
     * the dot products and norms are off by at most ``gamma_m |c_i||c_j|``
-      and ``gamma_m |c_i|**2`` (Higham, *Accuracy and Stability of Numerical
-      Algorithms*, section 3.1; any summation order, FMA or not), together
-      at most ``2 m u (N_i + N_j)``; forming ``d2_ij`` and the bounds below
-      adds ``6 u (N_i + N_j)``;
+      and ``gamma_m |c_i|**2``, together at most ``2 m u (N_i + N_j)``;
+      forming ``d2_ij`` and the bounds below adds ``6 u (N_i + N_j)``;
     * the centering rounds each entry by a relative ``u``: the true squared
       distance of the centered rows moves by at most ``4 u (N_i + N_j)``;
     * forming ``f_ij`` (difference, square, sum of ``m`` terms) is off by
       at most ``gamma_(m+2)`` times it, at most ``2 (m + 2) u (N_i + N_j)``.
 
     That is ``(4 m + 14) u (N_i + N_j)`` in all. The margin of a tile is
-    twice it, rounded up to ``rel = (8 m + 32) u`` times the tile's largest
-    ``N_i + N_j``, plus ``m (2**(e - 1060) + 2**(2 s - 1070))``, which covers
-    underflow in the products, in the scaling and in the exact squares with
-    the same factor of two or more. The factor also covers the second-order
-    terms, for ``m`` far below ``1 / u``.
+    ``rel`` times the tile's largest ``N_i + N_j``, plus ``slack``.
 
     **Exact pass.** ``low`` is the largest lower bound ``d2_ij - margin`` so
-    far. Each tile raises it, then forms exactly with :func:`_pairs_max` its
+    far. Each tile raises it, then forms exactly with :func:`_pair_sums` its
     pairs whose upper bound ``d2_ij + margin`` reaches it. ``low`` only
     grows, so every pair reaching its final value is formed, and the largest
     ``f_ij``, at least that value, is among them: the same bits.
@@ -196,33 +270,45 @@ def _screened_max(X):
     if not amax < np.inf:  # NaN or infinity
         return None
     if amax == 0.0:  # every row equals mu: every difference is zero
-        return 0.0, 0
+        return 0.0, n, 0
     e = (1018 - m.bit_length()) // 2
     s = e - math.frexp(amax)[1]
     if not -1022 <= s <= 1023:
         return None
     scale = 2.0**s
-    rel = (8 * m + 32) * 2.0**-53
+    rel = (8 * m + 40) * 2.0**-53
     slack = m * (2.0 ** (e - 1060) + 2.0 ** (2 * s - 1070))
 
     t = max(1, min(n, _GAP_BLOCK // (4 * m), math.isqrt(_GAP_BLOCK // 4)))
     ci, cj, g = np.empty((t, m)), np.empty((t, m)), np.empty(t * t)
     below = np.tri(t, dtype=bool)
-    norms = np.empty(n)
 
-    def center(i, out):
-        rows = X[i : i + t]
+    def center(rows, out):
+        """The rows ``X[rows]``, centered and scaled in ``out``."""
         c = out[: len(rows)]
-        np.subtract(rows, mu, out=c)
+        np.take(X, rows, axis=0, out=c, mode="clip")
+        c -= mu
         c *= scale
         return c
 
+    keep = np.arange(n)
+    if n > t:  # past one tile, first drop the rows that cannot hold the maximum
+        radii = np.empty(n)  # squared until the root below
+        for i in range(0, n, t):
+            c = center(keep[i : i + t], ci)
+            radii[i : i + len(c)] = _vecdot(c, c)
+        far = np.argpartition(radii, max(n - 4, 0))[-4:]
+        best = _pair_sums(center(far, np.empty((far.size, m))), *_pairs(far.size)).max()
+        np.sqrt(radii, out=radii)
+        keep = np.flatnonzero(np.square(radii + radii.max()) >= best * (1.0 - rel) - slack)
+    norms = np.empty(keep.size)
+
     low, gap, formed = -np.inf, 0.0, 0
-    for j in range(0, n, t):
-        b = center(j, cj)
-        for i in range(j, -1, -t):  # the diagonal tile first: it sets norms[j:]
+    for j in range(0, keep.size, t):
+        b = center(keep[j : j + t], cj)
+        for i in range(j, -1, -t):
             # the estimates of tile (i, j), pairs not above the diagonal at -inf
-            a = b if i == j else center(i, ci)
+            a = b if i == j else center(keep[i : i + t], ci)
             est = g[: len(a) * len(b)].reshape(len(a), len(b))
             np.matmul(a, b.T, out=est)
             if i == j:
@@ -240,8 +326,8 @@ def _screened_max(X):
                 est += margin
                 p, q = np.nonzero(est >= low)
                 formed += p.size
-                gap = max(gap, _pairs_max(X[i:], X[j:], p, q))
-    return gap, formed
+                gap = max(gap, _pair_sums(X, keep[i + p], keep[j + q]).max())
+    return gap, keep.size, formed
 
 
 def clamp_diagonal(X: np.ndarray, lo, hi) -> np.ndarray:
@@ -267,13 +353,21 @@ def is_feasible_estimate(boxes, X) -> bool:
 
 def augmented_mapping(game: Game, mixing: MixingMatrix, alpha, X) -> np.ndarray:
     """Evaluate ``F_a(X) = (I - W) X + Diag(alpha * local gradients)``, with
-    ``(I - W) X`` from :meth:`MixingMatrix.disagreement`."""
+    ``(I - W) X`` from :meth:`MixingMatrix.disagreement`, for an ``n x n``
+    estimate matrix or for each matrix of a stack ``(B, n, n)`` of them;
+    each matrix of a stack keeps the bits it has alone. A
+    :class:`QuadraticGame` takes the stack's local gradients in one call,
+    other games one matrix at a time."""
     X = np.asarray(X, dtype=float)
     n = game.n
-    if X.shape != (n, n):
+    if X.ndim not in (2, 3) or X.shape[-2:] != (n, n):
         raise ValueError(f"expected {n}x{n} estimate matrix, got {X.shape}")
+    if X.ndim == 2 or isinstance(game, QuadraticGame):
+        gradients = game.local_gradients(X)
+    else:
+        gradients = np.array([game.local_gradients(x) for x in X])
     out = mixing.disagreement(X)
-    out.reshape(-1)[:: n + 1] += np.asarray(alpha, dtype=float) * game.local_gradients(X)
+    out.reshape(-1, n * n)[:, :: n + 1] += np.asarray(alpha, dtype=float) * gradients
     return out
 
 

@@ -131,6 +131,17 @@ except AttributeError:  # numpy 1.x
     _clip = np.core.umath.clip
 
 
+def _stacked_dot(a, b) -> np.ndarray:
+    """The dot products of the rows of ``a`` and ``b`` as one stacked
+    ``matmul``, which reaches the dot kernel of ``np.vecdot`` (numpy 2) on
+    numpy 1.x too."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+# the dot products of matching rows, each with the bits of ``a[i].dot(b[i])``
+_vecdot = getattr(np, "vecdot", _stacked_dot)
+
+
 def clamp(v: np.ndarray, lo, hi) -> np.ndarray:
     """Clamp the float array ``v`` into ``[lo, hi]`` in place and return it,
     the same bits as ``v.clip(lo, hi, out=v)``."""
@@ -193,7 +204,9 @@ class Game:
     ``constants`` used for step sizes and certificates. Subclasses define
     ``mapping(x)``, the game mapping at a joint point, and
     ``local_gradients(X)``, whose component ``i`` is ``dJ_i/dx_i`` evaluated
-    at row ``i`` of an ``n x n`` estimate matrix.
+    at row ``i`` of an ``n x n`` estimate matrix. :class:`QuadraticGame`
+    also takes a stack of estimate matrices in one call; other games are
+    called one matrix at a time.
     """
 
     def __init__(self, n, boxes, constants):
@@ -264,9 +277,12 @@ class QuadraticGame(Game):
         return self._M @ x + self.b
 
     def local_gradients(self, X) -> np.ndarray:
+        """The local gradients at the rows of ``X``; a stack ``(B, n, n)`` of
+        estimate matrices gives one row of them per matrix, each with the
+        bits of its matrix alone."""
         X = np.asarray(X, dtype=float)
         # row i contributes a_i*X_ii + b_i + sum_j c_ij*X_ij (c_ii = 0)
-        return self.a * X.diagonal() + self.b + (self.coupling * X).sum(axis=1)
+        return self.a * X.diagonal(0, -2, -1) + self.b + (self.coupling * X).sum(axis=-1)
 
     def to_json(self) -> dict:
         return {

@@ -199,18 +199,25 @@ class MixingMatrix:
             self._buffers = {}
 
     def disagreement(self, X) -> np.ndarray:
-        """``(I - W) @ X`` for an ``n x m`` float array ``X``, as a new array.
+        """``(I - W) @ X`` for an ``n x m`` float array ``X``, or for each
+        matrix of a stack ``(B, n, m)`` of them, as a new array; each matrix
+        of a stack keeps the bits it has alone.
 
-        The ``"dense"`` form is ``X - W @ X``, one ``O(n**2 m)`` product. The
-        ``"jagged"`` form is the difference form ``sum_j w_ij (X_i - X_j)``
-        over the off-diagonal entries of ``W`` in ``O(|E| m)``, which equals
-        ``(I - W) X`` for unit row sums up to rounding and gives exactly 0 on
-        equal rows. It gathers rows into buffers kept on this object, so one
-        ``MixingMatrix`` serves one thread at a time.
+        The ``"dense"`` form is ``X - W @ X``, one ``O(n**2 m)`` product per
+        matrix. The ``"jagged"`` form is the difference form
+        ``sum_j w_ij (X_i - X_j)`` over the off-diagonal entries of ``W`` in
+        ``O(|E| m)``, which equals ``(I - W) X`` for unit row sums up to
+        rounding and gives exactly 0 on equal rows; it takes a stack one
+        matrix at a time. It gathers rows into buffers kept on this object,
+        so one ``MixingMatrix`` serves one thread at a time.
         """
         if self.form == "dense":
             return X - self.W @ X
-        return self._jagged(X, self._weights)
+        out = np.empty(X.shape)
+        matrices = (-1,) + X.shape[-2:]
+        for x, o in zip(X.reshape(matrices), out.reshape(matrices)):
+            self._jagged(x, self._weights, o)
+        return out
 
     def consensus_step(self, s: float):
         """The step ``X -> X - s (I - W) X`` as a callable ``step(X, out=None)``

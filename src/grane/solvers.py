@@ -25,7 +25,13 @@ diagonal boxes itself. Acc-GRANE's averaging step stays unprojected, and it
 forms ``X_k`` as one clip of the average against bounds that are infinite
 off the diagonal. Matrices are formed from the rows only for the records and
 the returned iterate. Residual records always evaluate ``F_a`` itself, so
-the ``vi_residual`` checks the step independently.
+the ``vi_residual`` checks the step independently. A chunk's recorded
+iterates go to :func:`residual_metrics` as one stack ``(B, n, n)``: the
+distances as one stacked dot product each, ``F_a`` through its stacked
+form, and the consensus gap of all of them from one gather of row pairs up
+to ``n = 40`` (:func:`~grane.augmented.consensus_gap`). Every field keeps
+the bits it has for that matrix alone, so a record's ``fro_residual`` equals
+the distance its chunk forms for the dense history.
 
 Each solver only supplies its step, ``step(x, out)``, which writes the next
 iterate into ``out``; one driver, :func:`_iterate`, counts the iterations,
@@ -61,7 +67,7 @@ from .augmented import (
     is_feasible_estimate,
     project_estimates,
 )
-from .games import Game, _clip, _number, _step, _tolerance, _whole, clamp
+from .games import Game, _clip, _number, _step, _tolerance, _vecdot, _whole, clamp
 from .network import MixingMatrix
 
 __all__ = [
@@ -189,42 +195,51 @@ class ConvergenceTrace:
                 fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % tuple(rec[c] for c in TRACE_COLUMNS))
 
 
-def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha) -> dict:
-    """The four residuals recorded per iteration.
+def residual_metrics(X, X_ref, X0, game: Game, mixing: MixingMatrix, alpha):
+    """The four residuals recorded per iteration, as a dict; for a stack
+    ``(B, n, n)`` of matrices, a list of one dict each, each with the bits
+    of its matrix alone.
 
     ``fro_residual`` is the Frobenius distance to the reference,
     ``relative_error`` the squared ratio against the distance to the start
     (``inf`` when the start coincides with the iterate but not the
     reference), ``consensus_gap`` the largest row disagreement, and
     ``vi_residual`` the fixed-point residual ``|X - P(X - F_a(X))|``.
+    ``X_ref`` or ``X0`` may be None, which makes the residuals that need it
+    NaN. A stack is evaluated in one pass: the distances as one stacked dot
+    product each, ``F_a`` and the consensus gap through their stacked forms.
+    The solvers pass a chunk's records as one stack.
     """
     X = np.asarray(X, dtype=float)
-    num = float(np.linalg.norm(X - X_ref)) if X_ref is not None else float("nan")
-    den = float(np.linalg.norm(X - X0)) if X0 is not None else float("nan")
-    if X_ref is None or X0 is None:
-        rel = float("nan")
-    elif den == 0.0:
-        rel = 0.0 if num == 0.0 else float("inf")
-    else:
-        rel = num**2 / den**2
-    step_point = X - augmented_mapping(game, mixing, alpha, X)
-    clamp(step_point.reshape(-1)[:: game.n + 1], game.lo, game.hi)  # P onto Omega_a
-    return {
-        "fro_residual": num,
-        "relative_error": rel,
-        "consensus_gap": consensus_gap(X),
-        "vi_residual": float(np.linalg.norm(X - step_point)),
-    }
+    Xs = X.reshape((-1,) + X.shape[-2:])
+    B, n = len(Xs), game.n
+    rows = Xs.reshape(B, -1)
+    work = np.empty(rows.shape)
 
+    def distances(to):
+        """The distances of the matrices to ``to``, NaN without one."""
+        if to is None:
+            return [math.nan] * B
+        return _norms(rows, np.asarray(to, dtype=float).reshape(-1), work).tolist()
 
-def _stacked_dot(a, b) -> np.ndarray:
-    """The dot products of the rows of ``a`` and ``b`` as one stacked
-    ``matmul``, which reaches the dot kernel of ``np.vecdot`` (numpy 2) on
-    numpy 1.x too."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-_vecdot = getattr(np, "vecdot", _stacked_dot)
+    fro = distances(X_ref)
+    den = distances(X0)
+    step_point = Xs - augmented_mapping(game, mixing, alpha, Xs)
+    clamp(step_point.reshape(B, -1)[:, :: n + 1], game.lo, game.hi)  # P onto Omega_a
+    vi = _norms(rows, step_point.reshape(B, -1), work).tolist()
+    gaps = consensus_gap(Xs).tolist()
+    records = []
+    for num, d, gap, v in zip(fro, den, gaps, vi):
+        if X_ref is None or X0 is None:
+            rel = math.nan
+        elif d == 0.0:
+            rel = 0.0 if num == 0.0 else math.inf
+        else:
+            rel = num**2 / d**2
+        records.append(
+            {"fro_residual": num, "relative_error": rel, "consensus_gap": gap, "vi_residual": v}
+        )
+    return records[0] if X.ndim == 2 else records
 
 
 def _norms(block, minus, scratch) -> np.ndarray:
@@ -250,9 +265,10 @@ def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=Non
     ``_GUARD_WINDOW`` steps earlier and 1e-8 times the first nonzero move.
     Overflow is reported by that error alone: numpy's warnings about it are
     silenced for the whole run. With a ``trace``, every iterate's distance
-    to ``reference`` (NaN without one) goes to ``trace.dense_fro``, and
-    ``record(x_k)`` is pushed at ``k = 0``, every ``trace.stride``
-    iterations and at the last.
+    to ``reference`` (NaN without one) goes to ``trace.dense_fro``, and the
+    iterates at ``k = 0``, every ``trace.stride`` iterations and at the last
+    are recorded: ``record(xs)`` takes a chunk's recorded iterates as one
+    stack, each in the shape of ``x``, and returns one metrics dict for each.
 
     The iterates live in a ring of ``cap + 1`` slots, ``cap`` the chunk
     bound of the module docstring. Each chunk runs from the slot of the last
@@ -280,16 +296,21 @@ def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=Non
 
         def observe(block, k, final, work):
             """Hand iterates ``k, k + 1, ...``, the rows of ``block``, to the
-            trace; their distances are formed in ``work``."""
+            trace, the ones it records as one stack; their distances are
+            formed in ``work``."""
             if ref is None:
-                trace.dense_fro.extend([math.nan] * len(block))
+                fro = [math.nan] * len(block)
             else:
-                trace.dense_fro.extend(_norms(block, ref, work).tolist())
+                fro = _norms(block, ref, work).tolist()
+            trace.dense_fro.extend(fro)
             stride, end = trace.stride, k + len(block) - 1
-            for i in range(-(-k // stride) * stride, end + 1, stride):
-                trace.push_record(i, record(block[i - k].reshape(x.shape)))
+            picked = list(range(-(-k // stride) * stride - k, len(block), stride))
             if final and end % stride:
-                trace.push_record(end, record(block[-1].reshape(x.shape)))
+                picked.append(len(block) - 1)
+            if picked:
+                stack = block[picked].reshape((len(picked),) + x.shape)
+                for i, metrics in zip(picked, record(stack)):
+                    trace.push_record(k + i, metrics)
 
         observe(ring[:1], 0, max_iters == 0, scratch)
     window = np.zeros(_GUARD_WINDOW)  # the last moves, oldest first
@@ -407,8 +428,8 @@ def _traced(step, X, sc: SolverConfig, max_iters, game, mixing, alpha, reference
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
     X_ref = None if reference is None else np.asarray(reference, dtype=float)
 
-    def record(x_k):
-        return residual_metrics(x_k.reshape(X.shape), X_ref, X, game, mixing, alpha)
+    def record(xs):
+        return residual_metrics(xs.reshape((-1,) + X.shape), X_ref, X, game, mixing, alpha)
 
     x_last, k, _, reason = _iterate(
         step, X.reshape(-1), max_iters, sc.stop_tol, trace, X_ref, record

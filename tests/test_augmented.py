@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -30,9 +30,15 @@ from grane.augmented import (
     restricted_constants_at,
 )
 from grane.games import make_quadratic_game
-from grane.network import complete_graph, mixing_from_laplacian, path_graph, random_tree
+from grane.network import (
+    complete_graph,
+    mixing_from_laplacian,
+    mixing_metropolis,
+    path_graph,
+    random_tree,
+)
 
-from conftest import linear_solve_equilibrium
+from conftest import QuarticGame, linear_solve_equilibrium
 
 
 def ne_matrix(game):
@@ -103,6 +109,39 @@ def test_augmented_mapping_zero_at_equilibrium(g2, w2):
 def test_augmented_mapping_zero_alpha_on_consensual(g2, w2):
     X = consensual_matrix([0.3, -0.7])
     assert_allclose(augmented_mapping(g2, w2, 0.0, X), np.zeros((2, 2)), atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 45),
+    stack=st.integers(1, 9),
+    metropolis=st.booleans(),
+    quartic=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n=127, stack=2, metropolis=False, quartic=False, seed=1)
+@example(n=128, stack=3, metropolis=True, quartic=True, seed=2)
+def test_stacks_keep_the_bits_of_each_matrix(n, stack, metropolis, quartic, seed):
+    # F_a, (I - W) X and the consensus gap of a stack (B, n, n), against one
+    # matrix at a time: dense and jagged mixing, a game that takes stacks and
+    # one that does not
+    game = make_quadratic_game(n, seed)
+    game = QuarticGame(game, 0.5) if quartic else game
+    graph = random_tree(n, seed)
+    mixing = mixing_metropolis(graph) if metropolis else mixing_from_laplacian(graph)
+    assert mixing.form == ("jagged" if n >= 127 else "dense")
+    rng = np.random.default_rng(seed)
+    Xs = rng.uniform(-5.0, 5.0, size=(stack, n, n))
+    alpha = rng.uniform(0.01, 1.0, size=n)
+    for stacked, one in (
+        (augmented_mapping(game, mixing, alpha, Xs), lambda X: augmented_mapping(game, mixing, alpha, X)),
+        (mixing.disagreement(Xs), mixing.disagreement),
+    ):
+        assert stacked.shape == Xs.shape
+        assert stacked.tobytes() == np.stack([one(X) for X in Xs]).tobytes()
+    gaps = consensus_gap(Xs)
+    assert gaps.tolist() == [consensus_gap(X) for X in Xs]
+    assert gaps[0] == _gap_by_pairs(Xs[0])
 
 
 def test_consensual_annihilation(g2, w2):
@@ -606,7 +645,7 @@ def test_consensus_gap_screen_forms_few_pairs(monkeypatch, kind):
         X = rng.standard_normal((n, n))
     else:
         X = rng.choice([-1.0, 1.0], size=(n, n)) * 10.0 ** rng.uniform(-280, -23, size=(n, n))
-    gap, formed = augmented._screened_max(X)
+    gap, _, formed = augmented._screened_max(X)
     assert 1 <= formed <= n
     assert np.sqrt(gap) == _gap_by_pairs(X)
 
@@ -638,7 +677,85 @@ def test_screened_consensus_gap_on_exact_ties(n, kind):
     # candidate and the screen must still give the all-pairs value bit for bit
     X = np.eye(n) if kind == "identity" else 2.5 * np.eye(n) - 0.75
     expected = augmented._all_pairs_max(X)
-    gap, formed = augmented._screened_max(X)
-    assert formed == n * (n - 1) // 2
+    gap, kept, formed = augmented._screened_max(X)
+    assert kept == n and formed == n * (n - 1) // 2
     assert gap == expected
     assert consensus_gap(X) == np.sqrt(expected)
+
+
+# the prefilter runs where the screen takes more than one tile: past 128 rows
+# of 128 columns, past 54 rows of 300
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_prefilter_keeps_the_rows_that_reach_a_far_outlier(scale):
+    # rows spread about a 3-dimensional subspace and one row far out along it:
+    # the rows too close to the mean to reach it from the far side go, and the
+    # screen runs on the others
+    rng = np.random.default_rng(1)
+    V = np.linalg.qr(rng.standard_normal((100, 3)))[0].T
+    X = rng.standard_normal((200, 3)) @ V + 0.3 * rng.standard_normal((200, 100))
+    X[123] = 50.0 * V[0]
+    X *= scale
+    gap, kept, formed = augmented._screened_max(X)
+    assert 4 < kept < 200 and formed >= 1
+    assert consensus_gap(X) == np.sqrt(gap) == _gap_by_pairs(X)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_prefilter_leaves_only_the_far_rows(scale):
+    # five far rows among tiny ones: only they stay for the screen
+    rng = np.random.default_rng(2)
+    X = 1e-6 * rng.standard_normal((200, 100))
+    X[[3, 50, 77, 120, 199], [0, 1, 2, 3, 4]] = 10.0
+    X *= scale
+    gap, kept, _ = augmented._screened_max(X)
+    assert kept == 5
+    assert consensus_gap(X) == np.sqrt(gap) == _gap_by_pairs(X)
+
+
+def test_prefilter_bound_at_ulp_resolution():
+    # the farthest pair 2 apart on axis 0, and rows swept an ulp at a time
+    # across the radius where (r_i + r_max)**2 meets best (1 - rel): each with
+    # its negated twin on an axis of its own, so the column mean is exactly 0
+    # and the radii, best and the bound are exact multiples of the prefilter's
+    # own (powers of two scale them)
+    m, sweep = 128, np.arange(-40, 41)
+    rel = (8 * m + 40) * 2.0**-53  # the documented margin of _screened_max
+    critical = np.sqrt(4.0 * (1.0 - rel)) - 1.0
+    radii = critical + sweep * 2.0**-53  # one ulp apart just below 1
+    X = np.zeros((2 + 2 * sweep.size, m))
+    X[0, 0], X[1, 0] = 1.0, -1.0
+    for k, r in enumerate(radii):
+        X[2 + 2 * k, 1 + k], X[3 + 2 * k, 1 + k] = r, -r
+    assert not X.mean(axis=0).any()
+    rows = np.sqrt(augmented._vecdot(X, X))
+    stay = np.square(rows + rows.max()) >= 4.0 * (1.0 - rel)
+    assert 2 < stay[2::2].sum() < sweep.size  # the bound falls inside the sweep
+    gap, kept, formed = augmented._screened_max(X)
+    assert kept == stay.sum()
+    assert np.sqrt(gap) == consensus_gap(X) == _gap_by_pairs(X) == 2.0
+
+
+def test_prefilter_keeps_every_row_of_a_regular_simplex():
+    # the rotated, scaled and shifted vertices of a regular simplex: every row
+    # at the same radius up to rounding, every pair at the same distance
+    n = 150
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))[0]
+    X = 3.0 * Q + 7.0
+    gap, kept, _ = augmented._screened_max(X)
+    assert kept == n
+    assert consensus_gap(X) == np.sqrt(gap) == _gap_by_pairs(X)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_skip_the_prefilter(value):
+    X = np.random.default_rng(4).standard_normal((60, 300))
+    X[17, 230] = value
+    assert augmented._screened_max(X) is None
+    with np.errstate(invalid="ignore"):
+        gap = consensus_gap(X)
+    if np.isnan(value):
+        assert np.isnan(gap)
+    else:
+        assert gap == _gap_by_pairs(X) == np.inf

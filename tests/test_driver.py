@@ -26,6 +26,7 @@ from grane import (
     make_augmented_config,
     make_quadratic_game,
     mixing_from_laplacian,
+    mixing_metropolis,
     path_graph,
     project_estimates,
     random_tree,
@@ -33,8 +34,9 @@ from grane import (
     run_experiment,
 )
 from grane.augmented import N_AFFINE, clamp_diagonal, gradient_map
-from grane.experiment import bundled_config
-from grane.solvers import _RING_BYTES, _RING_ITERATES, _iterate, _norms, _stacked_dot
+from grane.experiment import bundled_config, load_experiment
+from grane.games import _stacked_dot
+from grane.solvers import _RING_BYTES, _RING_ITERATES, _iterate, _norms
 
 from conftest import QuarticGame, linear_solve_equilibrium
 
@@ -79,20 +81,23 @@ def stepwise(step, x, max_iters, stop_tol, observe, moves=None):
     return x, k, move, reason
 
 
-def _traced_stepwise(step, X, max_iters, sc, game, mixing, alpha, X_ref, steps, moves=None):
+def _traced_stepwise(step, X, max_iters, sc, game, mixing, alpha, X_ref, steps, moves=None,
+                     recorded=None):
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
 
     def observe(k, X_k, last):
-        trace.dense_fro.append(_norm(X_k - X_ref))
+        trace.dense_fro.append(math.nan if X_ref is None else _norm(X_k - X_ref))
         if k % trace.stride == 0 or last:
             trace.push_record(k, residual_metrics(X_k, X_ref, X, game, mixing, alpha))
+            if recorded is not None:
+                recorded.append(X_k)
 
     X_last, k, _, reason = stepwise(step, X, max_iters, sc.stop_tol, observe, moves)
     trace.metadata["stop_reason"] = reason
     return X_last, trace, k
 
 
-def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None):
+def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None, recorded=None):
     lam = sc.resolve_step(cfg)
     gradient = gradient_map(game, mixing, cfg.alpha, lam)
 
@@ -100,12 +105,12 @@ def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None):
         return clamp_diagonal(gradient(X), game.lo, game.hi)
 
     X, trace, k = _traced_stepwise(step, X0, sc.max_iters, sc, game, mixing, cfg.alpha,
-                                   reference, lam, moves)
+                                   reference, lam, moves, recorded)
     trace.metadata["iterations"] = k
     return X, trace
 
 
-def acc_stepwise(game, mixing, cfg, sc, Y0, reference, moves=None):
+def acc_stepwise(game, mixing, cfg, sc, Y0, reference, moves=None, recorded=None):
     mu, L = cfg.mu_Fa, cfg.L_Fa
     theta = 1.0 / (1.0 + L / mu)
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
@@ -121,7 +126,7 @@ def acc_stepwise(game, mixing, cfg, sc, Y0, reference, moves=None):
         return A + theta * (Y - A)
 
     y, trace, k = _traced_stepwise(step, Y0, sc.max_iters - 1, sc, game, mixing, cfg.alpha,
-                                   reference, steps, moves)
+                                   reference, steps, moves, recorded)
     trace.metadata["iterations"] = k + 1
     return y, trace
 
@@ -243,6 +248,93 @@ def test_non_quadratic_steps_match_the_stepwise_loop(algorithm, n):
     assert raised[0] is False and raised[-1] is True
 
 
+def written_out_metrics(X, X_ref, X0, game, mixing, alpha):
+    """The four residuals of one matrix, written out: numpy's own norms,
+    ``(I - W) X`` and the local gradients of that matrix alone, and the
+    consensus gap one pair of rows at a time."""
+    n = game.n
+    num = math.nan if X_ref is None else float(np.linalg.norm(X - X_ref))
+    den = float(np.linalg.norm(X - X0))
+    if X_ref is None:
+        rel = math.nan
+    elif den == 0.0:
+        rel = 0.0 if num == 0.0 else math.inf
+    else:
+        rel = num**2 / den**2
+    F = mixing.disagreement(X)
+    F.reshape(-1)[:: n + 1] += np.asarray(alpha) * game.local_gradients(X)
+    projected = clamp_diagonal(X - F, game.lo, game.hi)
+    gap = max(
+        float(np.sqrt(np.sum((X[i] - X[j]) ** 2))) for i in range(n) for j in range(i + 1, n)
+    )
+    return {"fro_residual": num, "relative_error": rel, "consensus_gap": gap,
+            "vi_residual": float(np.linalg.norm(X - projected))}
+
+
+def _bits(records):
+    """Every field of every record as its exact bit pattern, NaN and inf
+    included."""
+    return [{key: np.float64(value).tobytes() for key, value in rec.items()} for rec in records]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 45),
+    metropolis=st.booleans(),
+    quartic=st.booleans(),
+    algorithm=st.sampled_from(["grane", "acc-grane"]),
+    per_chunk=st.sampled_from(["none", "one", "many"]),
+    with_reference=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n=127, metropolis=False, quartic=False, algorithm="grane", per_chunk="many",
+         with_reference=True, seed=1)
+@example(n=128, metropolis=True, quartic=False, algorithm="acc-grane", per_chunk="one",
+         with_reference=False, seed=2)
+def test_stacked_records_match_one_matrix_at_a_time(
+    n, metropolis, quartic, algorithm, per_chunk, with_reference, seed
+):
+    # a run records each chunk's iterates as one stack; the step-by-step loop
+    # records one matrix at a time through residual_metrics, whose fields
+    # match the written-out formulas: all three by their exact bits
+    game = make_quadratic_game(n, seed, box_range=(1.0, 2.0))
+    game = QuarticGame(game, 0.5) if quartic else game
+    graph = random_tree(n, seed)
+    mixing = mixing_metropolis(graph) if metropolis else mixing_from_laplacian(graph)
+    cfg = make_augmented_config(game, mixing, alpha=0.05)
+    chunk = cap(n)
+    # strides that put no record, one, or several into most chunks
+    stride = {"none": 2 * chunk + 1, "one": chunk, "many": max(1, chunk // 4)}[per_chunk]
+    sc = SolverConfig(algorithm=algorithm, max_iters=3 * chunk + 1, trace_stride=stride)
+    X0 = project_estimates(game.boxes, np.random.default_rng(seed).uniform(-3, 3, size=(n, n)))
+    X_ref = consensual_matrix(centralized_gradient_play(game)) if with_reference else None
+    run, reference = {"grane": (grane_run, grane_stepwise),
+                      "acc-grane": (acc_grane_run, acc_stepwise)}[algorithm]
+    recorded = []
+    _, expected = reference(game, mixing, cfg, sc, X0, X_ref, recorded=recorded)
+    _, got = run(game, mixing, cfg, sc, X0, X_ref)
+    assert _bits(got.records) == _bits(expected.records)
+    written_out = [{"k": rec["k"], **written_out_metrics(X_k, X_ref, X0, game, mixing, cfg.alpha)}
+                   for rec, X_k in zip(expected.records, recorded)]
+    assert _bits(written_out) == _bits(expected.records)
+
+
+@pytest.mark.parametrize("name", ["g2.json", "g2r.json", "accel.json", "paper_sec5.json"])
+def test_records_take_fro_residual_from_the_dense_history(name):
+    exp = load_experiment(bundled_config(name))
+    X_star = consensual_matrix(centralized_gradient_play(exp.game, **exp.reference))
+    algorithms = set()
+    for sc, cfg in exp.solvers:
+        # g2r's 1e6 steps capped at 1e5: it records every 1000 steps either way
+        sc = dataclasses.replace(sc, max_iters=min(sc.max_iters, 100000))
+        run = grane_run if sc.algorithm == "grane" else acc_grane_run
+        _, trace = run(exp.game, exp.mixing, cfg, sc, reference=X_star)
+        assert len(trace.records) > 1
+        assert all(rec["fro_residual"] == trace.dense_fro[rec["k"]] for rec in trace.records)
+        algorithms.add(sc.algorithm)
+    assert algorithms == ({"grane"} if name == "g2r.json" else {"grane", "acc-grane"})
+
+
 def contraction(calls=None, fail_at=None, rates=(0.9,)):
     """``x -> r x`` with ``r`` cycling through ``rates``, counting its calls and
     raising on call ``fail_at``."""
@@ -304,8 +396,8 @@ def test_a_failing_step_counts_after_the_steps_before_it():
         centralized_gradient_play(free, step=1e6, max_iters=5000)
 
 
-def total(X):
-    return {"s": float(X.sum())}
+def total(xs):
+    return [{"s": float(x.sum())} for x in xs]
 
 
 def test_zero_and_one_iterations():
@@ -339,7 +431,7 @@ def test_one_step_chunks(rates):
         def observe(k, X, last):
             expected.dense_fro.append(_norm(X - ref))
             if k % 3 == 0 or last:
-                expected.push_record(k, total(X))
+                expected.push_record(k, *total([X]))
 
         x_ref, *rest = stepwise(_allocating(contraction(rates=rates)), x, 9, stop_tol, observe)
         assert (x_last.tobytes(), k, move, reason) == (x_ref.tobytes(), *rest)
