@@ -106,7 +106,7 @@ def consensus_gap(X):
     entry gives inf: a deliberate change from the earlier all-pairs loop,
     whose self pairs gave NaN (``inf - inf``). Two infinite entries of the
     same sign in one column still give NaN. Each matrix of a stack keeps the
-    bits it has alone.
+    bits it has alone. Any other number of dimensions is a ValueError.
 
     Matrices whose ``n x n x m`` pair tensor fits ``_GAP_BLOCK`` floats
     (``n <= 40`` for square ones) gather their row pairs directly, the pairs
@@ -115,10 +115,13 @@ def consensus_gap(X):
     (:func:`_screened_max`), which gives the same bits; equal rows give 0.0
     at once. Non-finite inputs, and inputs too small to scale into the
     normal range (largest entry off the column mean below about
-    ``1e-155``), form every pair (:func:`_all_pairs_max`). Past a stack's
-    index arrays, every buffer holds about ``_GAP_BLOCK`` floats or fewer.
+    ``1e-155``), form every pair ``i < j`` by the same gather. Past the
+    index arrays of gathered pairs, and the pair sums of a matrix that forms
+    every pair, every buffer holds about ``_GAP_BLOCK`` floats or fewer.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim not in (2, 3):
+        raise ValueError(f"expected an n x m matrix or a stack of them, got shape {X.shape}")
     stack = X.reshape((-1,) + X.shape[-2:])
     B, n, m = stack.shape
     if n * n * m <= _GAP_BLOCK:
@@ -142,7 +145,9 @@ def _pairs(n: int):
 
 
 def _pair_sums(X, p, q) -> np.ndarray:
-    """The squared distances between the rows ``X[p]`` and ``X[q]``.
+    """The squared distances between the rows ``X[p]`` and ``X[q]``, their
+    differences squared and summed along the row: the one formula every
+    pair is formed with.
 
     The rows are gathered a chunk of pairs at a time, about ``_GAP_BLOCK /
     4`` floats a side: the size that measured fastest. Per matrix of a stack
@@ -155,35 +160,19 @@ def _pair_sums(X, p, q) -> np.ndarray:
     for k in range(0, p.size, chunk):
         diff = X.take(p[k : k + chunk], axis=0)
         diff -= X.take(q[k : k + chunk], axis=0)
-        _square_sums(diff, out=sums[k : k + chunk])
+        np.square(diff, out=diff)
+        diff.sum(axis=-1, out=sums[k : k + chunk])
     return sums
-
-
-def _square_sums(diff, out=None) -> np.ndarray:
-    """Square the row differences ``diff`` in place and sum them along the
-    last axis: the one formula every pair is formed with."""
-    np.square(diff, out=diff)
-    return diff.sum(axis=-1, out=out)
 
 
 def _largest_pair(X):
     """The largest squared row distance of one matrix too large to gather
-    every pair at once: screened where the screen applies, else every pair."""
+    every pair at once: screened where the screen applies, else every pair
+    ``i < j`` formed once."""
     screened = _screened_max(X)
-    return _all_pairs_max(X) if screened is None else screened[0]
-
-
-def _all_pairs_max(X):
-    """The largest squared row distance, every pair ``i < j`` formed once:
-    row ``i`` against the rows after it, a slab of about ``_GAP_BLOCK``
-    floats at a time."""
-    n, m = X.shape
-    slab = max(1, _GAP_BLOCK // m)
-    gap = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n, slab):
-            gap = np.maximum(gap, _square_sums(X[i] - X[j : j + slab]).max())
-    return gap
+    if screened is not None:
+        return screened[0]
+    return _pair_sums(X, *np.triu_indices(len(X), 1)).max(initial=0.0)
 
 
 def _screened_max(X):
@@ -397,9 +386,9 @@ def affine_form(game: QuadraticGame, mixing: MixingMatrix, alpha):
 
 def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, _project: bool = False):
     """The gradient step ``X -> X - s * F_a(X)``, as a callable
-    ``step(X, out=None)`` that writes the step of the C-ordered array ``X``,
-    ``n x n`` or its ``n**2`` flat row, into the C-ordered ``out`` of the same
-    shape (not ``X`` itself) or a new array, and returns it.
+    ``step(x, out)`` on C-ordered flat ``n**2`` rows of estimate matrices: it
+    writes the step of ``x`` into ``out`` (not ``x`` itself), leaves ``x`` as
+    it is and returns ``out``.
 
     ``F_a`` is affine for a :class:`QuadraticGame`, so its step is precomputed
     once and equals the formula up to rounding. Up to ``N_AFFINE`` (12)
@@ -415,11 +404,10 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, _project: bo
     :func:`augmented_mapping`.
 
     With ``_project`` it is the solvers' projected step
-    ``x -> P(x - s * F_a(x))`` on flat rows: ``x`` and ``out`` are ``n**2``
-    rows and ``out`` is required. The projection onto ``Omega_a`` clamps
-    only the diagonal: the affine form clips the whole row against bounds
-    that are infinite off the diagonal, the others clamp the strided
-    diagonal of ``out``. Both give the bits of the step followed by
+    ``x -> P(x - s * F_a(x))``. The projection onto ``Omega_a`` clamps only
+    the diagonal: the affine form clips the whole row against bounds that
+    are infinite off the diagonal, the others clamp the strided diagonal of
+    ``out``. Both give the bits of the step followed by
     :func:`clamp_diagonal`.
     """
     n = game.n
@@ -459,15 +447,7 @@ def gradient_map(game: Game, mixing: MixingMatrix, alpha, s: float, _project: bo
                 clamp(out[:: n + 1], lo, hi)
             return out
 
-    if _project:
-        return step
-
-    def shaped(X, out=None):
-        out = np.empty(X.shape) if out is None else out
-        step(X.reshape(-1), out.reshape(-1))
-        return out
-
-    return shaped
+    return step
 
 
 def _estimate_bounds(game: Game) -> tuple[np.ndarray, np.ndarray]:

@@ -251,10 +251,10 @@ def _norms(block, minus, scratch) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=None, record=None):
-    """Iterate ``step(x_k, out)``, which writes ``x_{k+1}`` into ``out``; both
-    are C-ordered slots of the ring, in the shape of ``x``. The distributed
-    solvers pass the flat row of their start matrix, so their projected steps
-    write straight into ring rows.
+    """Iterate ``step(x_k, out)``, which writes ``x_{k+1}`` into ``out``, from
+    the flat 1-D ``x``; both are C-ordered rows of the ring. The distributed
+    solvers pass the flat ``n**2`` row of their start matrix, so their
+    projected steps write straight into ring rows.
 
     Returns a copy of the last iterate, the step count, the last step's
     movement (infinite when no step was taken) and why the run stopped:
@@ -267,8 +267,8 @@ def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=Non
     silenced for the whole run. With a ``trace``, every iterate's distance
     to ``reference`` (NaN without one) goes to ``trace.dense_fro``, and the
     iterates at ``k = 0``, every ``trace.stride`` iterations and at the last
-    are recorded: ``record(xs)`` takes a chunk's recorded iterates as one
-    stack, each in the shape of ``x``, and returns one metrics dict for each.
+    are recorded: ``record(xs)`` takes a chunk's recorded iterates as the
+    rows of one array and returns one metrics dict for each.
 
     The iterates live in a ring of ``cap + 1`` slots, ``cap`` the chunk
     bound of the module docstring. Each chunk runs from the slot of the last
@@ -284,44 +284,40 @@ def _iterate(step, x, max_iters: int, stop_tol: float, trace=None, reference=Non
     x = np.asarray(x, dtype=float)
     cap = max(1, min(_RING_ITERATES, _RING_BYTES // max(x.nbytes, 1), max_iters))
     ring = np.empty((cap + 1, x.size))
-    ring[0] = x.reshape(-1)
-    # the ring's slots in the shape of x, listed as the chunks first reach them
-    shaped, slots = ring.reshape((cap + 1,) + x.shape), []
+    ring[0] = x
+    slots = list(ring)
     # differences are formed in scratch; with one-step chunks (cap = 1) in
     # the slot of the previous iterate, which no later bookkeeping reads
     scratch = np.empty((cap, x.size)) if cap > 1 else ring[::-1]
-    ref = None if reference is None else np.asarray(reference, dtype=float).reshape(-1)
     observe = None
     if trace is not None:
 
         def observe(block, k, final, work):
             """Hand iterates ``k, k + 1, ...``, the rows of ``block``, to the
-            trace, the ones it records as one stack; their distances are
-            formed in ``work``."""
-            if ref is None:
+            trace, the ones it records together; their distances are formed
+            in ``work``."""
+            if reference is None:
                 fro = [math.nan] * len(block)
             else:
-                fro = _norms(block, ref, work).tolist()
+                fro = _norms(block, reference, work).tolist()
             trace.dense_fro.extend(fro)
             stride, end = trace.stride, k + len(block) - 1
             picked = list(range(-(-k // stride) * stride - k, len(block), stride))
             if final and end % stride:
                 picked.append(len(block) - 1)
             if picked:
-                stack = block[picked].reshape((len(picked),) + x.shape)
-                for i, metrics in zip(picked, record(stack)):
+                for i, metrics in zip(picked, record(block[picked])):
                     trace.push_record(k + i, metrics)
 
         observe(ring[:1], 0, max_iters == 0, scratch)
     window = np.zeros(_GUARD_WINDOW)  # the last moves, oldest first
     floor = 0.0
-    k, move, before, reason, last, at = 0, math.inf, math.inf, "max_iters", shaped[0], 0
+    k, move, before, reason, last, at = 0, math.inf, math.inf, "max_iters", slots[0], 0
     while k < max_iters:
         size = min(cap, max_iters - k, max(at, cap - at))
         if stop_tol > 0.0:
             size = min(size, k // 8 + 2, _pace(before, move, stop_tol))
         if at + size <= cap:  # the chunk's slots, from the last kept iterate on
-            slots.extend(shaped[len(slots) : at + size + 1])
             block, rows = ring[at : at + size + 1], slots[at : at + size + 1]
             at += size
         else:
@@ -406,12 +402,24 @@ def _check(moves, olds, floor: float, k: int):
         )
 
 
+def _start_point(name: str, value, shape) -> np.ndarray:
+    """``value`` as a C-ordered float array; a ValueError naming ``name`` and
+    its shape unless it has ``shape`` and finite entries."""
+    x = np.array(value, dtype=float, order="C")
+    if x.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} of shape {x.shape} has non-finite entries")
+    return x
+
+
 def _start_matrix(game: Game, X0, name: str) -> np.ndarray:
-    """``X0`` as a C-ordered float array, or the zero matrix with a clamped
-    diagonal; every matrix the solvers derive from it is C-ordered too."""
+    """``X0`` as a C-ordered ``n x n`` float array with finite entries and a
+    feasible diagonal, or the zero matrix with a clamped diagonal; every
+    matrix the solvers derive from it is C-ordered too."""
     if X0 is None:
         return project_estimates(game.boxes, np.zeros((game.n, game.n)))
-    X = np.array(X0, dtype=float, order="C")
+    X = _start_point(name, X0, (game.n, game.n))
     if not is_feasible_estimate(game.boxes, X):
         raise ValueError(f"{name} has an infeasible diagonal")
     return X
@@ -426,14 +434,12 @@ def _traced(step, X, sc: SolverConfig, max_iters, game, mixing, alpha, reference
     trace and the step count; ``trace.metadata`` holds ``steps`` and the stop
     reason."""
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
-    X_ref = None if reference is None else np.asarray(reference, dtype=float)
+    ref = None if reference is None else np.asarray(reference, dtype=float).reshape(-1)
 
     def record(xs):
-        return residual_metrics(xs.reshape((-1,) + X.shape), X_ref, X, game, mixing, alpha)
+        return residual_metrics(xs.reshape((-1,) + X.shape), ref, X, game, mixing, alpha)
 
-    x_last, k, _, reason = _iterate(
-        step, X.reshape(-1), max_iters, sc.stop_tol, trace, X_ref, record
-    )
+    x_last, k, _, reason = _iterate(step, X.reshape(-1), max_iters, sc.stop_tol, trace, ref, record)
     trace.metadata["stop_reason"] = reason
     return x_last.reshape(X.shape), trace, k
 
@@ -449,8 +455,9 @@ def grane_run(
     """Run distributed gradient play on the estimate matrix.
 
     Each iteration is ``X <- P(X - step * F_a(X))``. ``X0`` defaults to the
-    zero matrix with a clamped diagonal and must have a feasible diagonal if
-    supplied. ``reference`` is the equilibrium matrix used for residuals
+    zero matrix with a clamped diagonal; if supplied, it must be ``n x n``
+    with finite entries and a feasible diagonal (else a ValueError).
+    ``reference`` is the equilibrium matrix used for residuals
     (rows all equal to the reference Nash equilibrium). Returns the final
     matrix and the trace.
     """
@@ -480,9 +487,10 @@ def acc_grane_run(
     ``S_{k+1} = S_k (1 + 1/gamma)``: each new term takes the constant share
     ``theta = 1/(1 + gamma)`` of both averages, so no weight or sum is kept.
     Requires the strong-monotonicity constant (``cfg.mu_Fa``) and
-    ``sc.step == 'auto'``: a numeric step would be ignored. Records run
-    over ``k = 0 .. max_iters - 1``, and the iteration ``k = 0`` counts as
-    one of the ``max_iters``.
+    ``sc.step == 'auto'``: a numeric step would be ignored. ``Y0`` is
+    checked and defaulted as ``X0`` of :func:`grane_run`. Records run over
+    ``k = 0 .. max_iters - 1``, and the iteration ``k = 0`` counts as one
+    of the ``max_iters``.
     """
     if sc.step != "auto":
         raise ValueError(_ACC_STEP)
@@ -498,7 +506,7 @@ def acc_grane_run(
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
     averaging_step = gradient_map(game, mixing, cfg.alpha, steps["averaging"])
     gradient_step = gradient_map(game, mixing, cfg.alpha, steps["gradient"], _project=True)
-    B = averaging_step(Y.reshape(-1))  # average of Y_t - (1/mu) F_a(Y_t)
+    B = averaging_step(Y.reshape(-1), np.empty(Y.size))  # average of Y_t - (1/mu) F_a(Y_t)
     work = np.empty_like(B)  # X_k, then the averaging step of Y_{k+1}
 
     def step(A, out):
@@ -550,12 +558,14 @@ def centralized_gradient_play(
     most ``tol`` (0 runs all ``max_iters``). Stopping at ``max_iters`` with
     ``tol > 0`` unmet emits a ``RuntimeWarning`` giving the iteration count
     and the last move, and still returns the last iterate. ``max_iters``
-    must be a positive whole number and ``tol`` nonnegative.
+    must be a positive whole number, ``tol`` nonnegative and ``x0``, if
+    given, of shape ``(n,)`` with finite entries; it is clamped into the
+    boxes.
     """
     step = reference_step(game, step)
     max_iters, tol = _whole("max_iters", max_iters), _tolerance("tol", tol)
     lo, hi = game.lo, game.hi
-    x = clamp(np.zeros(game.n) if x0 is None else np.array(x0, dtype=float), lo, hi)
+    x = clamp(np.zeros(game.n) if x0 is None else _start_point("x0", x0, (game.n,)), lo, hi)
     x, k, move, _ = _iterate(
         lambda x, out: clamp(np.subtract(x, step * game.mapping(x), out=out), lo, hi),
         x,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from grane import augmented
 from grane.augmented import (
     N_AFFINE,
     affine_form,
+    clamp_diagonal,
     gradient_map,
     is_feasible_estimate,
     restricted_constants_at,
@@ -96,9 +98,34 @@ def test_affine_form_matches_augmented_mapping(n, m, seed, topology, antisymmetr
         s = float(rng.uniform(0.01, 2.0))
         for step, expected in ((gradient_map(game, mixing, alpha, s), X - s * F),
                                (gradient_map(game, mixing, alpha, 1 / s), X - F / s)):
-            Y = step(X)
-            assert Y.flags.c_contiguous and not np.shares_memory(Y, X)
+            Y = step(X.ravel(), np.empty(size * size)).reshape(size, size)
             assert np.linalg.norm(Y - expected) <= 1e-13 * (np.linalg.norm(X) + scale * max(s, 1 / s))
+
+
+@pytest.mark.parametrize("form", ["affine", "structured dense", "structured jagged", "generic"])
+def test_row_step_of_every_form(form):
+    # the step writes out, returns it and leaves x alone; projected, it has
+    # the bits of the plain step followed by clamp_diagonal
+    n = {"affine": N_AFFINE, "structured dense": 30, "structured jagged": 127, "generic": 9}[form]
+    game = make_quadratic_game(n, 1)
+    mixing = mixing_from_laplacian(random_tree(n, 2))
+    assert mixing.form == ("jagged" if form == "structured jagged" else "dense")
+    if form == "generic":
+        game = QuarticGame(game, 0.5)
+    rng = np.random.default_rng(n)
+    alpha = rng.uniform(0.01, 1.0, size=n)
+    x = rng.uniform(-20.0, 20.0, size=n * n)
+    before = x.tobytes()
+    steps = []
+    for project in (False, True):
+        out = np.empty(n * n)
+        assert gradient_map(game, mixing, alpha, 0.3, _project=project)(x, out) is out
+        assert x.tobytes() == before
+        steps.append(out)
+    plain, projected = steps
+    expected = clamp_diagonal(plain.reshape(n, n).copy(), game.lo, game.hi).ravel()
+    assert projected.tobytes() == expected.tobytes()
+    assert (projected != plain).any()  # some diagonal entry was clamped
 
 
 def test_augmented_mapping_zero_at_equilibrium(g2, w2):
@@ -525,6 +552,13 @@ def test_consensus_gap_values():
     assert_allclose(consensus_gap(X), 5.0)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 3, 3), ()])
+def test_consensus_gap_refuses_other_dimensions(shape):
+    # a vector has no rows to pair, and a 4-D array is not a stack of matrices
+    with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}$"):
+        consensus_gap(np.zeros(shape))
+
+
 def test_consensus_gap_matches_pairwise_loop(monkeypatch):
     rng = np.random.default_rng(11)
     for n in (2, 7, 40):
@@ -633,8 +667,12 @@ def test_consensus_gap_non_finite_matches_all_pairs(value):
     X = np.random.default_rng(3).standard_normal((300, 300))
     X[17, 230] = value
     with np.errstate(invalid="ignore"):
-        expected = float(np.sqrt(augmented._all_pairs_max(X)))
-        np.testing.assert_equal(consensus_gap(X), expected)
+        gap = consensus_gap(X)
+        # Python's max drops NaN, so the oracle only holds for infinities
+        if np.isnan(value):
+            assert np.isnan(gap)
+        else:
+            assert gap == _gap_by_pairs(X) == np.inf
 
 
 @pytest.mark.parametrize("kind", ["random", "subnormal-laden"])
@@ -649,12 +687,16 @@ def test_consensus_gap_screen_forms_few_pairs(monkeypatch, kind):
     assert 1 <= formed <= n
     assert np.sqrt(gap) == _gap_by_pairs(X)
 
-    # consensus_gap itself takes the screen: the all-pairs loop is never entered
-    def all_pairs(X):
-        raise AssertionError("all-pairs loop entered")
+    # consensus_gap itself takes the screen, not the gather of every pair
+    screened_max, screens = augmented._screened_max, []
 
-    monkeypatch.setattr(augmented, "_all_pairs_max", all_pairs)
+    def spy(X):
+        screens.append(screened_max(X))
+        return screens[-1]
+
+    monkeypatch.setattr(augmented, "_screened_max", spy)
     assert consensus_gap(X) == np.sqrt(gap)
+    assert len(screens) == 1 and screens[0][0] == gap
 
 
 def test_screened_consensus_gap_resolves_near_ties(monkeypatch):
@@ -676,11 +718,11 @@ def test_screened_consensus_gap_on_exact_ties(n, kind):
     # every pair of rows lies at the same distance, so every pair is a
     # candidate and the screen must still give the all-pairs value bit for bit
     X = np.eye(n) if kind == "identity" else 2.5 * np.eye(n) - 0.75
-    expected = augmented._all_pairs_max(X)
+    expected = _gap_by_pairs(X)
     gap, kept, formed = augmented._screened_max(X)
     assert kept == n and formed == n * (n - 1) // 2
-    assert gap == expected
-    assert consensus_gap(X) == np.sqrt(expected)
+    assert np.sqrt(gap) == expected
+    assert consensus_gap(X) == expected
 
 
 # the prefilter runs where the screen takes more than one tile: past 128 rows

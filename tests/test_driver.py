@@ -97,9 +97,20 @@ def _traced_stepwise(step, X, max_iters, sc, game, mixing, alpha, X_ref, steps, 
     return X_last, trace, k
 
 
+def matrix_step(game, mixing, alpha, s):
+    """The unprojected row step of ``gradient_map`` on ``n x n`` matrices,
+    each into a new one."""
+    step = gradient_map(game, mixing, alpha, s)
+
+    def on_matrix(X):
+        return step(X.reshape(-1), np.empty(X.size)).reshape(X.shape)
+
+    return on_matrix
+
+
 def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None, recorded=None):
     lam = sc.resolve_step(cfg)
-    gradient = gradient_map(game, mixing, cfg.alpha, lam)
+    gradient = matrix_step(game, mixing, cfg.alpha, lam)
 
     def step(X):
         return clamp_diagonal(gradient(X), game.lo, game.hi)
@@ -114,8 +125,8 @@ def acc_stepwise(game, mixing, cfg, sc, Y0, reference, moves=None, recorded=None
     mu, L = cfg.mu_Fa, cfg.L_Fa
     theta = 1.0 / (1.0 + L / mu)
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
-    averaging = gradient_map(game, mixing, cfg.alpha, steps["averaging"])
-    gradient = gradient_map(game, mixing, cfg.alpha, steps["gradient"])
+    averaging = matrix_step(game, mixing, cfg.alpha, steps["averaging"])
+    gradient = matrix_step(game, mixing, cfg.alpha, steps["gradient"])
     B = averaging(Y0)
 
     def step(A):
@@ -401,14 +412,14 @@ def total(xs):
 
 
 def test_zero_and_one_iterations():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = np.array([1.0, 2.0, 3.0, 4.0])
     trace = ConvergenceTrace(stride=5)
-    x_last, k, move, reason = _iterate(contraction(), x, 0, 0.0, trace, np.zeros((2, 2)), total)
+    x_last, k, move, reason = _iterate(contraction(), x, 0, 0.0, trace, np.zeros(4), total)
     assert (x_last.tobytes(), k, move, reason) == (x.tobytes(), 0, math.inf, "max_iters")
     assert trace.dense_fro == [_norm(x)] and trace.records == [{"k": 0, "s": 10.0}]
     trace = ConvergenceTrace(stride=5)
     x_last, k, move, reason = _iterate(contraction(), x, 1, 0.0, trace, None, total)
-    assert (k, reason) == (1, "max_iters") and x_last.shape == (2, 2)
+    assert (k, reason) == (1, "max_iters") and x_last.shape == (4,)
     assert [r["k"] for r in trace.records] == [0, 1]
     assert all(math.isnan(d) for d in trace.dense_fro) and len(trace.dense_fro) == 2
 

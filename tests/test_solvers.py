@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -131,7 +132,8 @@ def test_grane_step_matches_rowwise_oracle(n, m, seed, topology, antisymmetric):
         assert_allclose(X1, oracle, rtol=0, atol=1e-12)
         # a step given as a reciprocal, as Acc-GRANE's 1/mu and 1/L are
         step = gradient_map(game, mixing, alpha, 1.0 / (1.0 / lam))
-        assert_allclose(clamp_diagonal(step(X0), game.lo, game.hi), oracle, rtol=0, atol=1e-12)
+        stepped = step(X0.ravel(), np.empty(size * size)).reshape(size, size)
+        assert_allclose(clamp_diagonal(stepped, game.lo, game.hi), oracle, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, N_AFFINE + 3])
@@ -323,6 +325,41 @@ def test_grane_rejects_infeasible_start(g2_setup):
     X0[0, 0] = 99.0
     with pytest.raises(ValueError):
         grane_run(game, mixing, cfg, SolverConfig(max_iters=5), X0=X0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("run, name", [(grane_run, "X0"), (acc_grane_run, "Y0")])
+def test_distributed_solvers_reject_non_finite_starts(g2_setup, run, name, where, value):
+    # refused before any step, so an entry off the diagonal is not reported
+    # as a divergence blamed on the step size, and no numpy warning escapes
+    game, mixing, cfg, _ = g2_setup
+    start = np.zeros((2, 2))
+    start[where] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} of shape \(2, 2\) has non-finite entries"):
+            run(game, mixing, cfg, SolverConfig(max_iters=5), start)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (1, 2, 2), (2, 3)])
+@pytest.mark.parametrize("run, name", [(grane_run, "X0"), (acc_grane_run, "Y0")])
+def test_distributed_solvers_reject_misshapen_starts(g2_setup, run, name, shape):
+    game, mixing, cfg, _ = g2_setup
+    message = rf"^{name} must have shape \(2, 2\), got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        run(game, mixing, cfg, SolverConfig(max_iters=5), np.zeros(shape))
+
+
+@pytest.mark.parametrize("x0, message", [
+    ([0.0, np.nan], r"^x0 of shape \(2,\) has non-finite entries$"),
+    ([-np.inf, 0.0], r"^x0 of shape \(2,\) has non-finite entries$"),
+    ([0.0, 0.0, 0.0], r"^x0 must have shape \(2,\), got shape \(3,\)$"),
+    ([[0.0], [0.0]], r"^x0 must have shape \(2,\), got shape \(2, 1\)$"),
+])
+def test_reference_rejects_bad_start_points(g2, x0, message):
+    with pytest.raises(ValueError, match=message):
+        centralized_gradient_play(g2, max_iters=5, x0=x0)
 
 
 def test_grane_stop_tol(g2_setup):
