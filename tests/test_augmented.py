@@ -128,6 +128,27 @@ def test_row_step_of_every_form(form):
     assert (projected != plain).any()  # some diagonal entry was clamped
 
 
+@pytest.mark.parametrize("project", [False, True], ids=["plain", "projected"])
+@pytest.mark.parametrize("n", [30, 127], ids=["dense", "jagged"])
+def test_structured_step_is_its_formula_bit_for_bit(n, project):
+    # the consensus step minus Diag(rowsum(K * X) + c), K and c as the
+    # docstring of gradient_map forms them, then the clamp: a row dot of
+    # other bits (np.vecdot, a stacked matmul) fails it
+    game = make_quadratic_game(n, 1)
+    mixing = mixing_from_laplacian(random_tree(n, 2))
+    assert n > N_AFFINE and mixing.form == ("jagged" if n == 127 else "dense")
+    rng = np.random.default_rng(n)
+    alpha, s = rng.uniform(0.01, 1.0, size=n), 0.3
+    X = rng.uniform(-20.0, 20.0, size=(n, n))
+    K, c = (s * alpha)[:, None] * game.jacobian(), s * alpha * game.b
+    expected = mixing.consensus_step(s)(X, np.empty((n, n)))
+    expected.reshape(-1)[:: n + 1] -= np.einsum("ij,ij->i", K, X) + c
+    if project:
+        clamp_diagonal(expected, game.lo, game.hi)
+    step = gradient_map(game, mixing, alpha, s, _project=project)
+    assert step(X.ravel(), np.empty(n * n)).tobytes() == expected.tobytes()
+
+
 def test_augmented_mapping_zero_at_equilibrium(g2, w2):
     Fa = augmented_mapping(g2, w2, 1.0, ne_matrix(g2))
     assert_allclose(Fa, np.zeros((2, 2)), atol=1e-14)
@@ -617,14 +638,17 @@ def test_consensus_gap_propagates_nan(monkeypatch):
 @pytest.mark.parametrize("n", [300, 1000])
 def test_consensus_gap_memory_is_bounded(n):
     X = np.random.default_rng(n).standard_normal((n, n))
-    tracemalloc.start()
-    try:
-        consensus_gap(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the n x n input is allocated before tracing starts
-    assert peak < 1 << 20
+    Y = X.copy()
+    Y[n // 2, 3] = np.inf  # refused by the screen: every pair is formed
+    for Z in (X, Y):
+        tracemalloc.start()
+        try:
+            consensus_gap(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x n input is allocated before tracing starts
+        assert peak < 1 << 20
 
 
 @settings(max_examples=120, deadline=None)

@@ -13,6 +13,7 @@ from grane import (
     make_quadratic_game,
     quadratic_constants,
 )
+from grane.augmented import _c_einsum
 from grane.experiment import bundled_config, load_experiment
 from grane.games import _clip, box_bounds, clamp
 
@@ -338,3 +339,16 @@ def test_clip_is_the_ufunc_under_its_numpy_1_name():
     assert isinstance(_clip, np.ufunc)
     assert legacy is _clip
 
+
+def test_c_einsum_is_einsums_kernel_under_its_numpy_1_name():
+    # np.einsum returns through this kernel when optimize is off; numpy 1.x
+    # reaches the same function as np.core.multiarray.c_einsum, the fallback
+    try:
+        from numpy._core import einsumfunc
+    except ImportError:  # numpy 1.x
+        from numpy.core import einsumfunc
+    assert _c_einsum is einsumfunc.c_einsum
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        legacy = np.core.multiarray.c_einsum
+    assert legacy is _c_einsum
