@@ -19,19 +19,21 @@ augmented mapping ``F_a``:
 
 Both distributed solvers form every gradient step ``X - s * F_a(X)``
 through :func:`~grane.augmented.gradient_map`, which describes its forms.
-They step the flat ``n**2`` rows of the estimate matrices, and every
-projected step ``P(X - s * F_a(X))`` is one call: the step projects onto the
-diagonal boxes itself. Acc-GRANE's averaging step stays unprojected, and it
-forms ``X_k`` as one clip of the average against bounds that are infinite
-off the diagonal. Matrices are formed from the rows only for the records and
-the returned iterate. Residual records always evaluate ``F_a`` itself, so
-the ``vi_residual`` checks the step independently. A chunk's recorded
-iterates go to :func:`residual_metrics` as one stack ``(B, n, n)``: the
-distances as one stacked dot product each, ``F_a`` through its stacked
-form, and the consensus gap of all of them from one gather of row pairs up
-to ``n = 40`` (:func:`~grane.augmented.consensus_gap`). Every field keeps
-the bits it has for that matrix alone, so a record's ``fro_residual`` equals
-the distance its chunk forms for the dense history.
+They step the flat ``n**2`` rows of the estimate matrices. Every step is
+one call of the form's one closure, which ends in a clip whose bounds are
+fixed when the step is built: the players' boxes on the diagonal for the
+projected steps ``P(X - s * F_a(X))``, infinite for Acc-GRANE's unprojected
+averaging step. Acc-GRANE forms ``X_k`` as one clip of the average against
+bounds that are infinite off the diagonal. Matrices are formed from the
+rows only for the records and the returned iterate. Residual records
+always evaluate ``F_a`` itself, so the ``vi_residual`` checks the step
+independently. A chunk's recorded iterates go to :func:`residual_metrics`
+as one stack ``(B, n, n)``: the distances as one stacked dot product each,
+``F_a`` through its stacked form, and the consensus gap of all of them from
+one gather of row pairs up to ``n = 40``
+(:func:`~grane.augmented.consensus_gap`). Every field keeps the bits it has
+for that matrix alone, so a record's ``fro_residual`` equals the distance
+its chunk forms for the dense history.
 
 Each solver only supplies its step, ``step(x, out)``, which writes the next
 iterate into ``out``; one driver, :func:`_iterate`, counts the iterations,
@@ -434,7 +436,7 @@ def _traced(step, X, sc: SolverConfig, max_iters, game, mixing, alpha, reference
     trace and the step count; ``trace.metadata`` holds ``steps`` and the stop
     reason."""
     trace = ConvergenceTrace(stride=sc.trace_stride, metadata={"step": steps})
-    ref = None if reference is None else np.asarray(reference, dtype=float).reshape(-1)
+    ref = None if reference is None else _start_point("reference", reference, X.shape).reshape(-1)
 
     def record(xs):
         return residual_metrics(xs.reshape((-1,) + X.shape), ref, X, game, mixing, alpha)
@@ -458,8 +460,9 @@ def grane_run(
     zero matrix with a clamped diagonal; if supplied, it must be ``n x n``
     with finite entries and a feasible diagonal (else a ValueError).
     ``reference`` is the equilibrium matrix used for residuals
-    (rows all equal to the reference Nash equilibrium). Returns the final
-    matrix and the trace.
+    (rows all equal to the reference Nash equilibrium); if supplied, it must
+    be ``n x n`` with finite entries (else a ValueError naming it). Returns
+    the final matrix and the trace.
     """
     X = _start_matrix(game, X0, "X0")
     lam = sc.resolve_step(cfg)
@@ -488,9 +491,9 @@ def acc_grane_run(
     ``theta = 1/(1 + gamma)`` of both averages, so no weight or sum is kept.
     Requires the strong-monotonicity constant (``cfg.mu_Fa``) and
     ``sc.step == 'auto'``: a numeric step would be ignored. ``Y0`` is
-    checked and defaulted as ``X0`` of :func:`grane_run`. Records run over
-    ``k = 0 .. max_iters - 1``, and the iteration ``k = 0`` counts as one
-    of the ``max_iters``.
+    checked and defaulted as ``X0`` of :func:`grane_run`, and ``reference``
+    is checked as there. Records run over ``k = 0 .. max_iters - 1``, and
+    the iteration ``k = 0`` counts as one of the ``max_iters``.
     """
     if sc.step != "auto":
         raise ValueError(_ACC_STEP)
@@ -502,7 +505,7 @@ def acc_grane_run(
     mu, L = cfg.mu_Fa, cfg.L_Fa
     theta = 1.0 / (1.0 + L / mu)
     Y = _start_matrix(game, Y0, "Y0")
-    lo, hi = _estimate_bounds(game)
+    lo, hi = _estimate_bounds(game.lo, game.hi)
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
     averaging_step = gradient_map(game, mixing, cfg.alpha, steps["averaging"])
     gradient_step = gradient_map(game, mixing, cfg.alpha, steps["gradient"], _project=True)

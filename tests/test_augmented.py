@@ -31,7 +31,7 @@ from grane.augmented import (
     is_feasible_estimate,
     restricted_constants_at,
 )
-from grane.games import make_quadratic_game
+from grane.games import box_bounds, make_quadratic_game
 from grane.network import (
     complete_graph,
     mixing_from_laplacian,
@@ -210,6 +210,27 @@ def test_project_estimates():
     assert zeroed[0, 1] == 7.0
     assert is_feasible_estimate(boxes, P)
     assert not is_feasible_estimate(boxes, X)
+
+
+@pytest.mark.parametrize("shape, count", [
+    ((2, 3), 2), ((3, 2), 3), ((2, 2, 2), 2), ((4,), 2), ((2, 2), 1), ((2, 2), 3),
+])
+def test_diagonal_helpers_refuse_other_shapes_and_box_counts(shape, count):
+    # the diagonal of a non-square matrix holds no actions: at (2, 3) the
+    # strided clamp hit X[1, 0] and left X[1, 1]; one box for two players was
+    # broadcast, and three failed with numpy's broadcast error
+    boxes, X = [BoxSet(0, 1)] * count, np.full(shape, 5.0)
+    message = (rf"got shape {re.escape(str(shape))} and bounds of shapes "
+               rf"\({count},\) and \({count},\)$")
+    with pytest.raises(ValueError, match=message):
+        project_estimates(boxes, X)
+    with pytest.raises(ValueError, match=message):
+        is_feasible_estimate(boxes, X)
+    with pytest.raises(ValueError, match=message):
+        clamp_diagonal(X, *box_bounds(boxes))
+    assert (X == 5.0).all()
+    # one number a side still bounds every diagonal entry
+    assert_allclose(clamp_diagonal(np.full((2, 2), 5.0), 0.0, 1.0), [[1.0, 5.0], [5.0, 1.0]])
 
 
 def test_decomposition_identity():

@@ -7,6 +7,7 @@ the metadata, and the message and iteration of every divergence.
 """
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -108,9 +109,26 @@ def matrix_step(game, mixing, alpha, s):
     return on_matrix
 
 
-def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None, recorded=None):
+def formula_step(game, mixing, alpha, s):
+    """The structured step written out on ``n x n`` matrices, each into a new
+    one, apart from ``gradient_map``: the consensus step minus
+    ``Diag(np.einsum("ij,ij->i", K, X) + c)``, ``K`` and ``c`` as the
+    docstring of ``gradient_map`` forms them."""
+    K, c = (s * alpha)[:, None] * game.jacobian(), s * alpha * game.b
+    consensus_step = mixing.consensus_step(s)
+
+    def on_matrix(X):
+        out = consensus_step(X, np.empty(X.shape))
+        out.reshape(-1)[:: len(X) + 1] -= np.einsum("ij,ij->i", K, X) + c
+        return out
+
+    return on_matrix
+
+
+def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None, recorded=None,
+                   make_step=matrix_step):
     lam = sc.resolve_step(cfg)
-    gradient = matrix_step(game, mixing, cfg.alpha, lam)
+    gradient = make_step(game, mixing, cfg.alpha, lam)
 
     def step(X):
         return clamp_diagonal(gradient(X), game.lo, game.hi)
@@ -121,12 +139,13 @@ def grane_stepwise(game, mixing, cfg, sc, X0, reference, moves=None, recorded=No
     return X, trace
 
 
-def acc_stepwise(game, mixing, cfg, sc, Y0, reference, moves=None, recorded=None):
+def acc_stepwise(game, mixing, cfg, sc, Y0, reference, moves=None, recorded=None,
+                 make_step=matrix_step):
     mu, L = cfg.mu_Fa, cfg.L_Fa
     theta = 1.0 / (1.0 + L / mu)
     steps = {"averaging": 1.0 / mu, "gradient": 1.0 / L}
-    averaging = matrix_step(game, mixing, cfg.alpha, steps["averaging"])
-    gradient = matrix_step(game, mixing, cfg.alpha, steps["gradient"])
+    averaging = make_step(game, mixing, cfg.alpha, steps["averaging"])
+    gradient = make_step(game, mixing, cfg.alpha, steps["gradient"])
     B = averaging(Y0)
 
     def step(A):
@@ -207,6 +226,28 @@ def test_solvers_match_the_stepwise_loop(n, seed, algorithm, step, gamma, data):
     expected = outcome(reference, game, mixing, cfg, sc, X0, X_ref)
     assert outcome(run, game, mixing, cfg, sc, X0, X_ref) == expected
     assert expected[-1]["stop_reason"] == "stop_tol"
+
+
+@pytest.mark.parametrize("algorithm", ["grane", "acc-grane"])
+def test_jagged_runs_match_the_stepwise_formula(algorithm):
+    # a 127-node tree takes the jagged consensus step; the loop here steps by
+    # the written-out formula, not through gradient_map, so both steps of
+    # each solver, Acc-GRANE's unprojected averaging step among them, are
+    # checked bit for bit over chunks, records and a stop
+    game, mixing, cfg, X0, X_ref = setup(127, 3, None)
+    assert mixing.form == "jagged" and game.n > N_AFFINE
+    sc = SolverConfig(algorithm=algorithm, max_iters=4 * cap(game.n) + 1, trace_stride=3)
+    run, stepwise_run = {"grane": (grane_run, grane_stepwise),
+                         "acc-grane": (acc_grane_run, acc_stepwise)}[algorithm]
+    by_formula = functools.partial(stepwise_run, make_step=formula_step)
+    moves = []
+    expected = outcome(by_formula, game, mixing, cfg, sc, X0, X_ref, moves)
+    assert expected[0] == X0.shape  # no divergence
+    assert outcome(run, game, mixing, cfg, sc, X0, X_ref) == expected
+    sc = dataclasses.replace(sc, stop_tol=moves[4])
+    expected = outcome(by_formula, game, mixing, cfg, sc, X0, X_ref)
+    assert expected[-1]["stop_reason"] == "stop_tol"
+    assert outcome(run, game, mixing, cfg, sc, X0, X_ref) == expected
 
 
 @pytest.mark.filterwarnings("error")

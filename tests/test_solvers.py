@@ -351,6 +351,27 @@ def test_distributed_solvers_reject_misshapen_starts(g2_setup, run, name, shape)
         run(game, mixing, cfg, SolverConfig(max_iters=5), np.zeros(shape))
 
 
+_NON_FINITE_REFERENCE = r"^reference of shape \(2, 2\) has non-finite entries$"
+
+
+@pytest.mark.parametrize("reference, message", [
+    (np.full((2, 2), np.nan), _NON_FINITE_REFERENCE),
+    ([[0.0, np.inf], [0.0, 0.0]], _NON_FINITE_REFERENCE),
+    ([[0.0, 0.0], [0.0, -np.inf]], _NON_FINITE_REFERENCE),
+    (np.zeros((1, 4)), r"^reference must have shape \(2, 2\), got shape \(1, 4\)$"),
+    (np.zeros(2), r"^reference must have shape \(2, 2\), got shape \(2,\)$"),
+    (np.zeros((3, 3)), r"^reference must have shape \(2, 2\), got shape \(3, 3\)$"),
+], ids=["nan", "inf", "-inf", "shape-1x4", "shape-2", "shape-3x3"])
+@pytest.mark.parametrize("run", [grane_run, acc_grane_run])
+def test_distributed_solvers_reject_bad_references(g2_setup, run, reference, message):
+    # checked as the start point is, before any step: an all-NaN reference
+    # ran to the end with fro_residual nan, and a (1, 4) one went unnoticed
+    game, mixing, cfg, _ = g2_setup
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            run(game, mixing, cfg, SolverConfig(max_iters=5), reference=reference)
+
 @pytest.mark.parametrize("x0, message", [
     ([0.0, np.nan], r"^x0 of shape \(2,\) has non-finite entries$"),
     ([-np.inf, 0.0], r"^x0 of shape \(2,\) has non-finite entries$"),
